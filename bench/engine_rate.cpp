@@ -10,6 +10,9 @@
 //     std::function callbacks, copy-then-pop) in-tree, so the speedup is a
 //     number measured on this machine today, not a changelog memory —
 //     tools/perf/check_engine_rate.py gates dispatch/legacy >= 2x.
+//   - Placement benchmarks (BM_TorusHops, BM_AllocateContiguous at 192,
+//     1536 and 12288 nodes) time the topology and allocator layer that
+//     dominates the cluster benchmarks, and how it grows with machine size.
 //   - Cluster benchmarks (BM_ClusterEngine, BM_ClusterEnginePower) run the
 //     canonical 192-node CTE-Arm batch study end to end. They report both
 //     events/sec from ClusterResult::engine_events (raw engine dispatches —
@@ -23,6 +26,7 @@
 // benchmark::Initialize sees it.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +42,9 @@
 #include "core/engine.h"
 #include "core/event_queue.h"
 #include "core/task.h"
+#include "net/topology.h"
 #include "power/power_model.h"
+#include "sched/allocator.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -250,19 +256,24 @@ void BM_ClusterEngine(benchmark::State& state) {
       static_cast<double>(jobs), benchmark::Counter::kIsRate);
 }
 
-// Iterations pinned: one cluster run is long enough that min_time-driven
-// sizing would measure a single iteration, and the check_engine_rate.py
-// power gate compares two such runs — averaging a few keeps that ratio
-// stable on noisy CI runners.
+// Iterations pinned rather than sized by min_time, so every summary
+// times the same runs. One run takes ~25 ms on a 4-vCPU host; 40 make a
+// ~1 s sample.
+constexpr int kClusterIterations = 40;
+
 BENCHMARK(BM_ClusterEngine)
     ->Arg(kCanonicalJobs / 4)
     ->Arg(kCanonicalJobs)
-    ->Iterations(4)
+    ->Iterations(kClusterIterations)
     ->Unit(benchmark::kMillisecond);
 
 /// The same canonical run with the energy layer on: what the per-event
-/// power accounting costs. tools/perf/check_engine_rate.py holds this
-/// within 10% of the plain run.
+/// power accounting costs. Each iteration also runs the plain twin,
+/// alternating which goes first, and times both; only the powered run is
+/// the iteration's time. tools/perf/check_engine_rate.py holds the powered
+/// rate within 10% of the twin's plain_events_per_s: side by side, both
+/// see the same host speed, which two separate benchmarks seconds apart
+/// do not.
 void BM_ClusterEnginePower(benchmark::State& state) {
   const batch::RuntimeModel model(arch::cte_arm());
   batch::WorkloadConfig config;
@@ -274,14 +285,36 @@ void BM_ClusterEnginePower(benchmark::State& state) {
   batch::ClusterOptions options;
   options.seed = 1;
   options.power = &power;
+  batch::ClusterOptions plain_options = options;
+  plain_options.power = nullptr;
 
+  using Clock = std::chrono::steady_clock;
+  const auto timed_run = [&](const batch::ClusterOptions& o,
+                             double* seconds) {
+    const auto t0 = Clock::now();
+    auto result = batch::run_cluster(model, stream, o);
+    *seconds += std::chrono::duration<double>(Clock::now() - t0).count();
+    benchmark::DoNotOptimize(result.engine_events);
+    return result;
+  };
   std::uint64_t events = 0;
   std::uint64_t jobs = 0;
+  std::uint64_t plain_events = 0;
+  double plain_s = 0.0;
+  bool plain_first = true;
   for (auto _ : state) {
-    const auto result = batch::run_cluster(model, stream, options);
+    double powered_s = 0.0;
+    if (plain_first) {
+      plain_events += timed_run(plain_options, &plain_s).engine_events;
+    }
+    const auto result = timed_run(options, &powered_s);
     events += result.engine_events;
     jobs += static_cast<std::uint64_t>(result.records.size());
-    benchmark::DoNotOptimize(result.engine_events);
+    if (!plain_first) {
+      plain_events += timed_run(plain_options, &plain_s).engine_events;
+    }
+    plain_first = !plain_first;
+    state.SetIterationTime(powered_s);
   }
   state.counters["events_per_s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
@@ -290,12 +323,83 @@ void BM_ClusterEnginePower(benchmark::State& state) {
       static_cast<double>(state.iterations()));
   state.counters["jobs_per_s"] = benchmark::Counter(
       static_cast<double>(jobs), benchmark::Counter::kIsRate);
+  state.counters["plain_events_per_s"] =
+      benchmark::Counter(static_cast<double>(plain_events) / plain_s);
 }
 
 BENCHMARK(BM_ClusterEnginePower)
     ->Arg(kCanonicalJobs)
-    ->Iterations(4)
+    ->Iterations(kClusterIterations)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Placement layer: what the cluster benchmarks above spend most of their
+// time in. events_per_s counts the layer's own operations here — hop
+// queries for BM_TorusHops, placements for BM_AllocateContiguous.
+// ---------------------------------------------------------------------------
+
+/// Torus shapes by node count: CTE-Arm (192) and the same TofuD unit
+/// cabinet grown in X, Y and Z towards Fugaku's scale.
+std::vector<int> torus_dims(int nodes) {
+  switch (nodes) {
+    case 192:
+      return {4, 2, 2, 2, 3, 2};
+    case 1536:
+      return {8, 4, 4, 2, 3, 2};
+    default:
+      return {16, 8, 8, 2, 3, 2};  // 12288
+  }
+}
+
+void BM_TorusHops(benchmark::State& state) {
+  const net::TorusTopology torus(torus_dims(192));
+  constexpr int kPairs = 1024;
+  Rng rng(11);
+  std::vector<int> nodes(2 * kPairs);
+  for (int& node : nodes) {
+    node = static_cast<int>(rng.uniform_int(0, torus.num_nodes() - 1));
+  }
+  std::int64_t hops = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < nodes.size(); i += 2) {
+      hops += torus.hops(nodes[i], nodes[i + 1]);
+    }
+    benchmark::DoNotOptimize(hops);
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kPairs,
+      benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_TorusHops);
+
+/// One 16-node contiguous placement (and its release) on a machine with a
+/// seeded random half of its nodes busy.
+void BM_AllocateContiguous(benchmark::State& state) {
+  const net::TorusTopology torus(
+      torus_dims(static_cast<int>(state.range(0))));
+  sched::Allocator alloc(torus);
+  Rng rng(5);
+  std::vector<int> busy;
+  for (int node = 0; node < torus.num_nodes(); ++node) {
+    if (rng.uniform() < 0.5) busy.push_back(node);
+  }
+  alloc.occupy(busy);
+  for (auto _ : state) {
+    const auto nodes = alloc.allocate(16, sched::Policy::kContiguous);
+    benchmark::DoNotOptimize(nodes.data());
+    alloc.release(nodes);
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_AllocateContiguous)
+    ->Arg(192)
+    ->Arg(1536)
+    ->Arg(12288)
+    ->Unit(benchmark::kMicrosecond);
 
 /// Console output plus a captured copy of every run for the JSON summary.
 class CaptureReporter : public benchmark::ConsoleReporter {
@@ -360,7 +464,9 @@ bool write_summary(const std::string& path,
         << ",\"jobs_per_s\":"
         << json::number(counter_value(run, "jobs_per_s"))
         << ",\"events_per_s\":"
-        << json::number(counter_value(run, "events_per_s")) << "}";
+        << json::number(counter_value(run, "events_per_s"))
+        << ",\"plain_events_per_s\":"
+        << json::number(counter_value(run, "plain_events_per_s")) << "}";
   }
   out << "]}\n";
   return static_cast<bool>(out);

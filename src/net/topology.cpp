@@ -39,20 +39,25 @@ int TorusTopology::node_at(const std::vector<int>& coords) const {
 
 int TorusTopology::dim_distance(int src, int dst, std::size_t dim) const {
   CTESIM_EXPECTS(dim < dims_.size());
-  const auto a = coordinates(src);
-  const auto b = coordinates(dst);
-  const int direct = std::abs(a[dim] - b[dim]);
-  return std::min(direct, dims_[dim] - direct);
+  CTESIM_EXPECTS(src >= 0 && src < total_ && dst >= 0 && dst < total_);
+  int stride = 1;
+  for (std::size_t i = dim + 1; i < dims_.size(); ++i) stride *= dims_[i];
+  const int size = dims_[dim];
+  const int direct = std::abs(src / stride % size - dst / stride % size);
+  return std::min(direct, size - direct);
 }
 
 int TorusTopology::hops(int src, int dst) const {
   if (src == dst) return 0;
-  const auto a = coordinates(src);
-  const auto b = coordinates(dst);
+  CTESIM_EXPECTS(src >= 0 && src < total_ && dst >= 0 && dst < total_);
+  // Decode both row-major coordinates in step, last dimension first.
   int hops = 0;
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    const int direct = std::abs(a[i] - b[i]);
-    hops += std::min(direct, dims_[i] - direct);  // shortest wrap direction
+  for (std::size_t i = dims_.size(); i-- > 0;) {
+    const int size = dims_[i];
+    const int direct = std::abs(src % size - dst % size);
+    hops += std::min(direct, size - direct);  // shortest wrap direction
+    src /= size;
+    dst /= size;
   }
   return hops;
 }

@@ -1,7 +1,7 @@
 #include "sched/allocator.h"
 
 #include <algorithm>
-#include <deque>
+#include <cstdlib>
 
 #include "util/assert.h"
 #include "util/check.h"
@@ -22,42 +22,83 @@ const char* name_of(Policy policy) {
 
 Allocator::Allocator(const net::TorusTopology& topology)
     : topology_(&topology),
-      busy_(static_cast<std::size_t>(topology.num_nodes()), false),
-      drained_(static_cast<std::size_t>(topology.num_nodes()), false) {}
+      num_dims_(static_cast<int>(topology.dims().size())),
+      state_(static_cast<std::size_t>(topology.num_nodes()), 0),
+      free_count_(topology.num_nodes()),
+      seen_(static_cast<std::size_t>(topology.num_nodes()), 0),
+      queue_(static_cast<std::size_t>(topology.num_nodes())) {
+  const int n = topology.num_nodes();
+  const std::vector<int>& dims = topology.dims();
+  coords_.resize(static_cast<std::size_t>(n) * dims.size());
+  neighbours_.reserve(2 * coords_.size());
+  for (int node = 0; node < n; ++node) {
+    // Row-major: last dimension varies fastest.
+    int* c = &coords_[static_cast<std::size_t>(node * num_dims_)];
+    for (int d = num_dims_, rest = node; d-- > 0;) {
+      c[d] = rest % dims[static_cast<std::size_t>(d)];
+      rest /= dims[static_cast<std::size_t>(d)];
+    }
+    int stride = n;
+    for (int d = 0; d < num_dims_; ++d) {
+      const int size = dims[static_cast<std::size_t>(d)];
+      stride /= size;
+      for (const int dir : {-1, +1}) {
+        const int moved = (c[d] + dir + size) % size;
+        neighbours_.push_back(node + (moved - c[d]) * stride);
+      }
+    }
+  }
+  counts_.assign(static_cast<std::size_t>(
+                     *std::max_element(dims.begin(), dims.end())),
+                 0);
+  touched_.reserve(counts_.size());
+  ball_.reserve(static_cast<std::size_t>(n));
+  best_.reserve(static_cast<std::size_t>(n));
+}
 
 void Allocator::occupy(const std::vector<int>& nodes) {
   for (int n : nodes) {
     CTESIM_EXPECTS(n >= 0 && n < topology_->num_nodes());
     CTESIM_EXPECTS(!unavailable(n));
-    busy_[static_cast<std::size_t>(n)] = true;
+    state_[static_cast<std::size_t>(n)] = kBusy;
+    --free_count_;
   }
 }
 
 void Allocator::drain(int node) {
   CTESIM_EXPECTS(node >= 0 && node < topology_->num_nodes());
-  CTESIM_EXPECTS(!busy_[static_cast<std::size_t>(node)]);
-  CTESIM_ASSERT(!drained_[static_cast<std::size_t>(node)],
+  CTESIM_EXPECTS(!is_busy(node));
+  CTESIM_ASSERT(!is_drained(node),
                 "double drain: the node is already out of service — the "
                 "fault script and the allocator state drifted");
-  drained_[static_cast<std::size_t>(node)] = true;
+  state_[static_cast<std::size_t>(node)] = kDrained;
+  --free_count_;
+  ++drained_count_;
 }
 
 void Allocator::return_to_service(int node) {
   CTESIM_EXPECTS(node >= 0 && node < topology_->num_nodes());
-  CTESIM_ASSERT(drained_[static_cast<std::size_t>(node)],
+  CTESIM_ASSERT(is_drained(node),
                 "returning an in-service node: the repair has no matching "
                 "drain — the fault script and the allocator state drifted");
-  drained_[static_cast<std::size_t>(node)] = false;
+  state_[static_cast<std::size_t>(node)] = 0;
+  ++free_count_;
+  --drained_count_;
 }
 
 bool Allocator::is_drained(int node) const {
   CTESIM_EXPECTS(node >= 0 && node < topology_->num_nodes());
-  return drained_[static_cast<std::size_t>(node)];
+  return (state_[static_cast<std::size_t>(node)] & kDrained) != 0;
+}
+
+int Allocator::count_in_state(std::uint8_t state) const {
+  return static_cast<int>(std::count(state_.begin(), state_.end(), state));
 }
 
 int Allocator::drained_count() const {
-  return static_cast<int>(
-      std::count(drained_.begin(), drained_.end(), true));
+  CTESIM_DCHECK(drained_count_ == count_in_state(kDrained),
+                "drained counter drifted from the node states");
+  return drained_count_;
 }
 
 int Allocator::in_service_nodes() const {
@@ -67,8 +108,9 @@ int Allocator::in_service_nodes() const {
 void Allocator::release(const std::vector<int>& nodes) {
   for (int n : nodes) {
     CTESIM_EXPECTS(n >= 0 && n < topology_->num_nodes());
-    CTESIM_EXPECTS(busy_[static_cast<std::size_t>(n)]);
-    busy_[static_cast<std::size_t>(n)] = false;
+    CTESIM_EXPECTS(is_busy(n));
+    state_[static_cast<std::size_t>(n)] = 0;
+    ++free_count_;
   }
 }
 
@@ -87,7 +129,7 @@ void Allocator::release(std::uint64_t job_id) {
   // was placed; a clear mark here means the two maps drifted (e.g. a raw
   // release() bypassed the ownership record) — a double release in effect.
   for (const int n : it->second) {
-    CTESIM_ASSERT(busy_[static_cast<std::size_t>(n)],
+    CTESIM_ASSERT(is_busy(n),
                   "double release: a node recorded for this job is no "
                   "longer marked busy");
   }
@@ -105,37 +147,40 @@ const std::vector<int>& Allocator::nodes_of(std::uint64_t job_id) const {
   return it->second;
 }
 
+std::uint32_t Allocator::next_stamp() const {
+  if (++stamp_ == 0) {  // wrapped: forget every old mark
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 1;
+  }
+  return stamp_;
+}
+
 int Allocator::largest_free_block() const {
   // Connected components over free nodes with torus adjacency.
   const int n = topology_->num_nodes();
-  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  const std::size_t degree = 2 * static_cast<std::size_t>(num_dims_);
+  const std::uint32_t stamp = next_stamp();
   int best = 0;
   for (int start = 0; start < n; ++start) {
-    if (unavailable(start) || seen[static_cast<std::size_t>(start)]) {
+    if (unavailable(start) || seen_[static_cast<std::size_t>(start)] == stamp) {
       continue;
     }
-    int size = 0;
-    std::deque<int> queue{start};
-    seen[static_cast<std::size_t>(start)] = true;
-    while (!queue.empty()) {
-      const int node = queue.front();
-      queue.pop_front();
-      ++size;
-      const auto coords = topology_->coordinates(node);
-      for (std::size_t d = 0; d < topology_->dims().size(); ++d) {
-        for (int dir : {-1, +1}) {
-          auto next = coords;
-          const int dim_size = topology_->dims()[d];
-          next[d] = (next[d] + dir + dim_size) % dim_size;
-          const int nb = topology_->node_at(next);
-          if (!seen[static_cast<std::size_t>(nb)] && !unavailable(nb)) {
-            seen[static_cast<std::size_t>(nb)] = true;
-            queue.push_back(nb);
-          }
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue_[tail++] = start;
+    seen_[static_cast<std::size_t>(start)] = stamp;
+    while (head < tail) {
+      const int* nb = &neighbours_[static_cast<std::size_t>(queue_[head++]) *
+                                   degree];
+      for (std::size_t k = 0; k < degree; ++k) {
+        if (seen_[static_cast<std::size_t>(nb[k])] != stamp &&
+            !unavailable(nb[k])) {
+          seen_[static_cast<std::size_t>(nb[k])] = stamp;
+          queue_[tail++] = nb[k];
         }
       }
     }
-    best = std::max(best, size);
+    best = std::max(best, static_cast<int>(tail));
   }
   return best;
 }
@@ -148,16 +193,14 @@ double Allocator::fragmentation() const {
 }
 
 int Allocator::free_nodes() const {
-  int free = 0;
-  for (int n = 0; n < topology_->num_nodes(); ++n) {
-    if (!unavailable(n)) ++free;
-  }
-  return free;
+  CTESIM_DCHECK(free_count_ == count_in_state(0),
+                "free counter drifted from the node states");
+  return free_count_;
 }
 
 bool Allocator::is_busy(int node) const {
   CTESIM_EXPECTS(node >= 0 && node < topology_->num_nodes());
-  return busy_[static_cast<std::size_t>(node)];
+  return (state_[static_cast<std::size_t>(node)] & kBusy) != 0;
 }
 
 std::vector<int> Allocator::allocate(int count, Policy policy,
@@ -177,7 +220,8 @@ std::vector<int> Allocator::allocate(int count, Policy policy,
       break;
   }
   CTESIM_ENSURES(static_cast<int>(nodes.size()) == count);
-  for (int n : nodes) busy_[static_cast<std::size_t>(n)] = true;
+  for (int n : nodes) state_[static_cast<std::size_t>(n)] = kBusy;
+  free_count_ -= count;
   return nodes;
 }
 
@@ -209,63 +253,104 @@ std::vector<int> Allocator::allocate_random(int count, std::uint64_t seed) {
 }
 
 std::vector<int> Allocator::allocate_contiguous(int count) {
-  // Grow a BFS ball around the best free seed; pick the seed whose ball
-  // has the smallest radius (cheap proxy for the scheduler's block
-  // placement). To stay O(nodes^2) at worst, try every free seed on small
-  // machines and a stride sample on large ones.
+  // Grow a BFS ball around each candidate seed and keep the ball with the
+  // smallest mean pairwise hops (the scheduler's block placement). Large
+  // machines try a stride sample of seeds; when every sampled seed is
+  // busy, every seed is tried.
   const int n = topology_->num_nodes();
-  std::vector<int> best;
-  double best_score = 1e300;
   const int stride = n > 512 ? n / 256 : 1;
-  for (int seed = 0; seed < n; seed += stride) {
+  if (!scan_seeds(count, stride) && stride > 1) scan_seeds(count, 1);
+  CTESIM_ENSURES(!best_.empty());
+  std::vector<int> nodes(best_);
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+bool Allocator::scan_seeds(int count, int stride) {
+  // No ball scores below this floor — distinct nodes are at least one hop
+  // apart — so the first ball that reaches it cannot be beaten strictly.
+  const double floor = count > 1 ? 1.0 : 0.0;
+  double best_score = 1e300;
+  best_.clear();
+  for (int seed = 0; seed < topology_->num_nodes(); seed += stride) {
     if (unavailable(seed)) continue;
-    // BFS over free nodes only.
-    std::vector<int> ball;
-    std::vector<bool> seen(static_cast<std::size_t>(n), false);
-    std::deque<int> queue{seed};
-    seen[static_cast<std::size_t>(seed)] = true;
-    while (!queue.empty() && static_cast<int>(ball.size()) < count) {
-      const int node = queue.front();
-      queue.pop_front();
-      if (!unavailable(node)) ball.push_back(node);
-      // Neighbors: +-1 in every dimension.
-      const auto coords = topology_->coordinates(node);
-      for (std::size_t d = 0; d < topology_->dims().size(); ++d) {
-        for (int dir : {-1, +1}) {
-          auto next = coords;
-          const int size = topology_->dims()[d];
-          next[d] = (next[d] + dir + size) % size;
-          const int nb = topology_->node_at(next);
-          if (!seen[static_cast<std::size_t>(nb)]) {
-            seen[static_cast<std::size_t>(nb)] = true;
-            queue.push_back(nb);
-          }
-        }
-      }
-    }
-    if (static_cast<int>(ball.size()) < count) continue;
-    const double score = mean_pairwise_hops(ball);
+    grow_ball(seed, count);
+    CTESIM_DCHECK(static_cast<int>(ball_.size()) == count,
+                  "a free seed's ball must fill while count <= free_nodes()");
+    const double score = mean_pairwise_hops(ball_);
     if (score < best_score) {
       best_score = score;
-      best = ball;
+      best_.swap(ball_);
+      if (best_score <= floor) break;
     }
   }
-  CTESIM_ENSURES(!best.empty());
-  std::sort(best.begin(), best.end());
-  return best;
+  return !best_.empty();
+}
+
+void Allocator::grow_ball(int seed, int count) {
+  const std::size_t degree = 2 * static_cast<std::size_t>(num_dims_);
+  const std::uint32_t stamp = next_stamp();
+  ball_.clear();
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue_[tail++] = seed;
+  seen_[static_cast<std::size_t>(seed)] = stamp;
+  while (head < tail) {
+    const int node = queue_[head++];
+    if (!unavailable(node)) {
+      ball_.push_back(node);
+      if (static_cast<int>(ball_.size()) == count) return;
+    }
+    const int* nb = &neighbours_[static_cast<std::size_t>(node) * degree];
+    for (std::size_t k = 0; k < degree; ++k) {
+      if (seen_[static_cast<std::size_t>(nb[k])] != stamp) {
+        seen_[static_cast<std::size_t>(nb[k])] = stamp;
+        queue_[tail++] = nb[k];
+      }
+    }
+  }
+}
+
+std::int64_t Allocator::total_pairwise_hops(
+    const std::vector<int>& nodes) const {
+  // Torus hops are a sum of per-dimension wrap distances, so the pairwise
+  // total splits by dimension: with cnt[v] nodes at coordinate v,
+  //   sum over value pairs {a, b} of cnt[a] * cnt[b] * wrap(|a - b|).
+  // Pairs that share a coordinate add 0, exactly as in the pairwise loop.
+  const std::vector<int>& dims = topology_->dims();
+  std::int64_t total = 0;
+  for (int d = 0; d < num_dims_; ++d) {
+    const int size = dims[static_cast<std::size_t>(d)];
+    for (const int node : nodes) {
+      const int v = coords_[static_cast<std::size_t>(node * num_dims_ + d)];
+      if (counts_[static_cast<std::size_t>(v)]++ == 0) touched_.push_back(v);
+    }
+    for (std::size_t i = 0; i < touched_.size(); ++i) {
+      const int a = touched_[i];
+      for (std::size_t j = i + 1; j < touched_.size(); ++j) {
+        const int b = touched_[j];
+        const int direct = std::abs(a - b);
+        total += counts_[static_cast<std::size_t>(a)] *
+                 counts_[static_cast<std::size_t>(b)] *
+                 std::min(direct, size - direct);
+      }
+    }
+    for (const int v : touched_) counts_[static_cast<std::size_t>(v)] = 0;
+    touched_.clear();
+  }
+  return total;
 }
 
 double Allocator::mean_pairwise_hops(const std::vector<int>& nodes) const {
   if (nodes.size() < 2) return 0.0;
-  double total = 0.0;
-  std::size_t pairs = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      total += topology_->hops(nodes[i], nodes[j]);
-      ++pairs;
-    }
+  for (const int n : nodes) {
+    CTESIM_EXPECTS(n >= 0 && n < topology_->num_nodes());
   }
-  return total / static_cast<double>(pairs);
+  // The total is an exact integer, so this is the same double as summing
+  // hops(i, j) pair by pair.
+  const std::size_t pairs = nodes.size() * (nodes.size() - 1) / 2;
+  return static_cast<double>(total_pairwise_hops(nodes)) /
+         static_cast<double>(pairs);
 }
 
 }  // namespace ctesim::sched

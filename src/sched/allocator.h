@@ -67,11 +67,11 @@ class Allocator {
   void return_to_service(int node);
 
   bool is_drained(int node) const;
-  int drained_count() const;
+  int drained_count() const;  ///< O(1)
   /// Nodes currently in service (total minus drained), busy or free.
   int in_service_nodes() const;
 
-  int free_nodes() const;
+  int free_nodes() const;  ///< O(1)
   bool is_busy(int node) const;
 
   /// Size of the largest connected block of free nodes (torus adjacency).
@@ -86,6 +86,8 @@ class Allocator {
 
   /// Mean pairwise hop distance of a node set — the quality metric a
   /// topology-aware scheduler optimizes. 0 for fewer than two nodes.
+  /// Computed from per-dimension coordinate histograms, bit-identical to
+  /// summing TorusTopology::hops over every pair.
   double mean_pairwise_hops(const std::vector<int>& nodes) const;
 
  private:
@@ -93,16 +95,55 @@ class Allocator {
   std::vector<int> allocate_linear(int count);
   std::vector<int> allocate_random(int count, std::uint64_t seed);
 
+  /// Scores the ball of every free seed in 0, stride, 2*stride, ... and
+  /// leaves the best in best_. False when no tried seed was free.
+  bool scan_seeds(int count, int stride);
+
+  /// Fills ball_ with the first `count` free nodes in BFS order from
+  /// `seed`. The BFS walks busy nodes too, so any free seed's ball fills
+  /// while count <= free_nodes().
+  void grow_ball(int seed, int count);
+
+  /// Sum of hops over all unordered pairs of `nodes`, exact.
+  std::int64_t total_pairwise_hops(const std::vector<int>& nodes) const;
+
+  /// Nodes whose state is exactly `state` (a recount for the O(1)
+  /// counters' checks).
+  int count_in_state(std::uint8_t state) const;
+
+  /// A fresh mark for seen_, so a BFS starts without clearing it.
+  std::uint32_t next_stamp() const;
+
   /// A node is allocatable iff neither busy nor drained.
   bool unavailable(int node) const {
-    return busy_[static_cast<std::size_t>(node)] ||
-           drained_[static_cast<std::size_t>(node)];
+    return state_[static_cast<std::size_t>(node)] != 0;
   }
 
+  static constexpr std::uint8_t kBusy = 1;
+  static constexpr std::uint8_t kDrained = 2;  ///< failed / draining
+
   const net::TorusTopology* topology_;
-  std::vector<bool> busy_;
-  std::vector<bool> drained_;  ///< out of service (failed / draining)
+  int num_dims_;
+  /// Node-major torus coordinates: coords_[node * num_dims_ + d].
+  std::vector<int> coords_;
+  /// Node-major neighbours, 2 per dimension in (-1, +1) order — the
+  /// order the BFS visits them in.
+  std::vector<int> neighbours_;
+  std::vector<std::uint8_t> state_;  ///< per node: 0 (free), kBusy or kDrained
+  int free_count_;
+  int drained_count_ = 0;
   std::map<std::uint64_t, std::vector<int>> owned_;
+
+  // Scratch reused by every BFS and score, so placement allocates nothing
+  // per seed. Const queries use it too, hence mutable: an Allocator is
+  // not shared between threads.
+  mutable std::vector<std::uint32_t> seen_;  ///< BFS mark per node
+  mutable std::uint32_t stamp_ = 0;
+  mutable std::vector<int> queue_;  ///< flat BFS queue, n slots
+  mutable std::vector<std::int64_t> counts_;  ///< nodes per coordinate value
+  mutable std::vector<int> touched_;  ///< coordinate values counted
+  std::vector<int> ball_;
+  std::vector<int> best_;
 };
 
 }  // namespace ctesim::sched

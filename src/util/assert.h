@@ -61,11 +61,13 @@ namespace ctesim::detail {
 
 #else  // checks compiled out: expression and message are not evaluated.
 
+// sizeof keeps both operands referenced (no unused-variable warnings for
+// names only a check reads) while leaving them unevaluated.
 #define CTESIM_ASSERT(expr, msg) \
   do {                           \
+    (void)sizeof(!(expr));       \
+    (void)sizeof(msg);           \
   } while (false)
-#define CTESIM_DCHECK(expr, msg) \
-  do {                           \
-  } while (false)
+#define CTESIM_DCHECK(expr, msg) CTESIM_ASSERT(expr, msg)
 
 #endif  // CTESIM_CHECKS_ENABLED

@@ -5,7 +5,10 @@
 // SBO bound) and a steady-state spawn→resume→destroy cycle (frames within
 // the pool's bucket range) perform ZERO heap allocations.
 //
-// Also home of the incremental-reaping regression test: 100k short
+// Also home of the placement allocation check: one contiguous placement
+// makes a fixed number of heap allocations, not one or more per seed.
+//
+// And of the incremental-reaping regression test: 100k short
 // processes through one engine must keep the tracked-process table O(live),
 // not O(ever spawned).
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include "core/engine.h"
 #include "core/frame_pool.h"
 #include "core/task.h"
+#include "net/topology.h"
+#include "sched/allocator.h"
 #include "util/inline_function.h"
 
 namespace {
@@ -168,6 +173,32 @@ TEST(EngineAlloc, HundredThousandShortProcessesStayBounded) {
   EXPECT_LT(max_tracked, 256u);
   EXPECT_LT(engine.tracked_processes(), 256u);
   EXPECT_GE(engine.events_processed(), static_cast<std::uint64_t>(kTotal));
+}
+
+TEST(EngineAlloc, ContiguousPlacementAllocatesOnlyItsResult) {
+  // Half-busy 192-node CTE-Arm torus: ~96 free seeds, each grown into a
+  // ball and scored. The BFS and the score run on the allocator's own
+  // scratch, so the only allocation is the returned node list.
+  const net::TorusTopology torus({4, 2, 2, 2, 3, 2});
+  sched::Allocator alloc(torus);
+  std::vector<int> busy;
+  for (int node = 0; node < torus.num_nodes(); node += 2) {
+    busy.push_back(node);
+  }
+  alloc.occupy(busy);
+  for (const int count : {1, 7, 24}) {
+    const auto before = allocations();
+    const auto nodes = alloc.allocate(count, sched::Policy::kContiguous);
+    const auto after = allocations();
+    ASSERT_EQ(nodes.size(), static_cast<std::size_t>(count));
+    EXPECT_EQ(after - before, 1u) << count << "-node placement";
+    const auto hops_before = allocations();
+    const double mean = alloc.mean_pairwise_hops(nodes);
+    const auto hops_after = allocations();
+    EXPECT_EQ(hops_after, hops_before) << "mean_pairwise_hops allocated";
+    EXPECT_GE(mean, count > 1 ? 1.0 : 0.0);
+    alloc.release(nodes);
+  }
 }
 
 }  // namespace

@@ -60,7 +60,9 @@ TEST(LintTokenizer, SpliceInsideIdentifierAndPreprocessor) {
   EXPECT_TRUE(has_ident(toks, "define"));
   // Physical line numbers survive the splice.
   for (const auto& t : toks) {
-    if (t.text == "define") EXPECT_EQ(t.line, 3);
+    if (t.text == "define") {
+      EXPECT_EQ(t.line, 3);
+    }
   }
 }
 
@@ -95,7 +97,9 @@ TEST(LintTokenizer, RawStringLineNumbersAdvance) {
   const auto toks =
       lint::tokenize("auto s = R\"(line1\nline2\nline3)\";\nint z;\n");
   for (const auto& t : toks) {
-    if (t.text == "z") EXPECT_EQ(t.line, 4);
+    if (t.text == "z") {
+      EXPECT_EQ(t.line, 4);
+    }
   }
 }
 

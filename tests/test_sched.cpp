@@ -2,10 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "arch/configs.h"
 #include "net/topology.h"
 #include "sched/allocator.h"
+#include "util/rng.h"
 
 namespace ctesim::sched {
 namespace {
@@ -176,6 +181,273 @@ TEST(Allocator, FragmentationOnTorus) {
   // The same capacity scattered leaves free space more broken up.
   const auto scatter = alloc.allocate(2u, 8, Policy::kRandom, 17);
   EXPECT_LE(compact_frag, alloc.fragmentation());
+}
+
+// --- equivalence oracle ------------------------------------------------------
+//
+// The placement as first written: a fresh BFS (seen vector, deque,
+// coordinates()/node_at() neighbours) per seed and a pairwise hops() loop
+// per ball. Allocator's table-driven BFS and histogram score must pick the
+// same nodes and report the same mean, bit for bit. Seeds follow the same
+// stride sample, with the same every-seed retry when no sampled seed is
+// free.
+
+double reference_mean_hops(const net::TorusTopology& torus,
+                           const std::vector<int>& nodes) {
+  if (nodes.size() < 2) return 0.0;
+  double total = 0.0;
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
+      total += torus.hops(nodes[i], nodes[j]);
+      ++pairs;
+    }
+  }
+  return total / static_cast<double>(pairs);
+}
+
+std::vector<int> reference_neighbours(const net::TorusTopology& torus,
+                                      int node) {
+  std::vector<int> out;
+  const auto coords = torus.coordinates(node);
+  for (std::size_t d = 0; d < torus.dims().size(); ++d) {
+    for (int dir : {-1, +1}) {
+      auto next = coords;
+      const int size = torus.dims()[d];
+      next[d] = (next[d] + dir + size) % size;
+      out.push_back(torus.node_at(next));
+    }
+  }
+  return out;
+}
+
+std::vector<int> reference_contiguous(const net::TorusTopology& torus,
+                                      const std::vector<bool>& unavailable,
+                                      int count, int stride) {
+  const int n = torus.num_nodes();
+  std::vector<int> best;
+  double best_score = 1e300;
+  for (int seed = 0; seed < n; seed += stride) {
+    if (unavailable[static_cast<std::size_t>(seed)]) continue;
+    std::vector<int> ball;
+    std::vector<bool> seen(static_cast<std::size_t>(n), false);
+    std::deque<int> queue{seed};
+    seen[static_cast<std::size_t>(seed)] = true;
+    while (!queue.empty() && static_cast<int>(ball.size()) < count) {
+      const int node = queue.front();
+      queue.pop_front();
+      if (!unavailable[static_cast<std::size_t>(node)]) ball.push_back(node);
+      for (const int nb : reference_neighbours(torus, node)) {
+        if (!seen[static_cast<std::size_t>(nb)]) {
+          seen[static_cast<std::size_t>(nb)] = true;
+          queue.push_back(nb);
+        }
+      }
+    }
+    if (static_cast<int>(ball.size()) < count) continue;
+    const double score = reference_mean_hops(torus, ball);
+    if (score < best_score) {
+      best_score = score;
+      best = ball;
+    }
+  }
+  if (best.empty() && stride > 1) {
+    return reference_contiguous(torus, unavailable, count, 1);
+  }
+  std::sort(best.begin(), best.end());
+  return best;
+}
+
+int reference_largest_free_block(const net::TorusTopology& torus,
+                                 const std::vector<bool>& unavailable) {
+  const int n = torus.num_nodes();
+  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  int best = 0;
+  for (int start = 0; start < n; ++start) {
+    if (unavailable[static_cast<std::size_t>(start)] ||
+        seen[static_cast<std::size_t>(start)]) {
+      continue;
+    }
+    int size = 0;
+    std::deque<int> queue{start};
+    seen[static_cast<std::size_t>(start)] = true;
+    while (!queue.empty()) {
+      const int node = queue.front();
+      queue.pop_front();
+      ++size;
+      for (const int nb : reference_neighbours(torus, node)) {
+        if (!seen[static_cast<std::size_t>(nb)] &&
+            !unavailable[static_cast<std::size_t>(nb)]) {
+          seen[static_cast<std::size_t>(nb)] = true;
+          queue.push_back(nb);
+        }
+      }
+    }
+    best = std::max(best, size);
+  }
+  return best;
+}
+
+std::vector<bool> unavailable_mask(const Allocator& alloc, int n) {
+  std::vector<bool> mask(static_cast<std::size_t>(n));
+  for (int node = 0; node < n; ++node) {
+    mask[static_cast<std::size_t>(node)] =
+        alloc.is_busy(node) || alloc.is_drained(node);
+  }
+  return mask;
+}
+
+class ContiguousOracle : public ::testing::TestWithParam<std::vector<int>> {};
+
+TEST_P(ContiguousOracle, MatchesReferenceOnRandomMasks) {
+  const net::TorusTopology torus(GetParam());
+  const int n = torus.num_nodes();
+  const int stride = n > 512 ? n / 256 : 1;
+  for (std::uint64_t trial = 1; trial <= 6; ++trial) {
+    Allocator alloc(torus);
+    Rng rng(trial * 7919 + static_cast<std::uint64_t>(n));
+    // Busy share 0, 0.2, ..., 1.0 by trial, plus a few drained nodes.
+    const double busy_share = static_cast<double>(trial - 1) / 5.0;
+    std::vector<int> busy;
+    for (int node = 0; node < n; ++node) {
+      const double u = rng.uniform();
+      if (u < 0.05) {
+        alloc.drain(node);
+      } else if (u < busy_share) {
+        busy.push_back(node);
+      }
+    }
+    alloc.occupy(busy);
+    // A run of placements, each on the state the previous one left.
+    for (int step = 0; step < 8 && alloc.free_nodes() > 0; ++step) {
+      const int max_count = std::min(alloc.free_nodes(), 48);
+      const int count =
+          step == 0 ? 1
+                    : static_cast<int>(rng.uniform_int(1, max_count));
+      const auto mask = unavailable_mask(alloc, n);
+      ASSERT_EQ(alloc.largest_free_block(),
+                reference_largest_free_block(torus, mask));
+      const auto expected = reference_contiguous(torus, mask, count, stride);
+      const auto got = alloc.allocate(count, Policy::kContiguous);
+      ASSERT_EQ(got, expected) << "trial " << trial << " step " << step
+                               << " count " << count;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.mean_pairwise_hops(got)),
+                std::bit_cast<std::uint64_t>(reference_mean_hops(torus, got)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tori, ContiguousOracle,
+    ::testing::Values(std::vector<int>{4, 2, 2, 2, 3, 2},
+                      std::vector<int>{8, 4, 4, 2, 3, 2},
+                      std::vector<int>{5}, std::vector<int>{1, 3, 2},
+                      std::vector<int>{2, 2, 2}));
+
+TEST(Allocator, SmallBallsMatchReferenceOnSmallTori) {
+  // Small tori with a size-3 dimension hold 3-node balls of mean 1.0 (a
+  // ring) beside 4/3 (a path): the seed scan must keep looking past a
+  // 4/3 ball and stop only at the 1.0 floor.
+  for (const std::vector<int>& dims :
+       {std::vector<int>{4, 3}, std::vector<int>{2, 3, 2},
+        std::vector<int>{3, 3}}) {
+    const net::TorusTopology torus(dims);
+    const int n = torus.num_nodes();
+    Rng rng(static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 200; ++trial) {
+      Allocator alloc(torus);
+      std::vector<int> busy;
+      for (int node = 0; node < n; ++node) {
+        if (rng.uniform() < 0.4) busy.push_back(node);
+      }
+      alloc.occupy(busy);
+      const int count = static_cast<int>(rng.uniform_int(2, 4));
+      if (count > alloc.free_nodes()) continue;
+      const auto mask = unavailable_mask(alloc, n);
+      ASSERT_EQ(alloc.allocate(count, Policy::kContiguous),
+                reference_contiguous(torus, mask, count, 1))
+          << "trial " << trial << " count " << count;
+    }
+  }
+}
+
+TEST(Allocator, MeanPairwiseHopsMatchesPairwiseSum) {
+  // Arbitrary sets (not BFS balls), duplicates included: the histogram
+  // total equals the pairwise one exactly.
+  const net::TorusTopology torus({8, 4, 4, 2, 3, 2});
+  Allocator alloc(torus);
+  Rng rng(42);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<int> nodes(static_cast<std::size_t>(rng.uniform_int(0, 200)));
+    for (int& node : nodes) {
+      node = static_cast<int>(rng.uniform_int(0, torus.num_nodes() - 1));
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.mean_pairwise_hops(nodes)),
+              std::bit_cast<std::uint64_t>(reference_mean_hops(torus, nodes)));
+  }
+  EXPECT_THROW(alloc.mean_pairwise_hops({0, torus.num_nodes()}),
+               ContractError);
+}
+
+TEST(Allocator, LargeTorusPlacesWhenEverySampledSeedIsBusy) {
+  // Above 512 nodes only every n/256-th node is tried as a seed. With all
+  // of those busy, the placement must fall back to every free seed.
+  const net::TorusTopology torus({8, 4, 4, 2, 3, 2});
+  const int n = torus.num_nodes();
+  ASSERT_EQ(n, 1536);
+  const int stride = n / 256;
+  Allocator alloc(torus);
+  Rng rng(3);
+  std::vector<int> busy;
+  for (int node = 0; node < n; ++node) {
+    if (node % stride == 0 || rng.uniform() < 0.5) busy.push_back(node);
+  }
+  alloc.occupy(busy);
+  for (const int count : {1, 2, 17, 64}) {
+    const auto mask = unavailable_mask(alloc, n);
+    const auto job = alloc.allocate(count, Policy::kContiguous);
+    ASSERT_EQ(job.size(), static_cast<std::size_t>(count));
+    EXPECT_EQ(job, reference_contiguous(torus, mask, count, 1));
+    for (const int node : job) EXPECT_NE(node % stride, 0);
+  }
+}
+
+TEST(Allocator, CountersMatchRecount) {
+  const net::TorusTopology torus({4, 2, 2, 2, 3, 2});
+  Allocator alloc(torus);
+  const auto expect_recount = [&](const char* after) {
+    int free = 0;
+    int drained = 0;
+    for (int node = 0; node < torus.num_nodes(); ++node) {
+      if (alloc.is_drained(node)) {
+        ++drained;
+      } else if (!alloc.is_busy(node)) {
+        ++free;
+      }
+    }
+    EXPECT_EQ(alloc.free_nodes(), free) << after;
+    EXPECT_EQ(alloc.drained_count(), drained) << after;
+    EXPECT_EQ(alloc.in_service_nodes(), torus.num_nodes() - drained) << after;
+  };
+  expect_recount("construction");
+  alloc.occupy({0, 5, 9});
+  expect_recount("occupy");
+  alloc.drain(1);
+  alloc.drain(2);
+  expect_recount("drain");
+  const auto job = alloc.allocate(1u, 12, Policy::kContiguous);
+  ASSERT_EQ(job.size(), 12u);
+  expect_recount("allocate");
+  alloc.return_to_service(1);
+  expect_recount("return");
+  alloc.release({0, 5});
+  expect_recount("release by nodes");
+  alloc.release(1u);
+  expect_recount("release by job");
+  // A rejected call leaves the counters alone.
+  EXPECT_THROW(alloc.occupy({9}), ContractError);
+  EXPECT_TRUE(alloc.allocate(500, Policy::kContiguous).empty());
+  expect_recount("rejected calls");
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/configs.h"
@@ -428,6 +431,32 @@ TEST(Service, InlineMachineIniBuildsOnceAndCaches) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.cache.hits, 1u);
   EXPECT_GE(stats.machines_reused, 1u);
+  service.shutdown();
+}
+
+TEST(Service, LargeTorusUnderLoadRepliesOk) {
+  // A 1536-node successor torus under a busy 1-64-node job mix, where
+  // every seed in the placement's sample can be busy at once: the study
+  // must still complete, not end in a code "internal" reply.
+  std::ifstream in(std::string(CTESIM_SOURCE_DIR) +
+                   "/examples/machines/a64fx_successor.ini");
+  ASSERT_TRUE(in) << "missing examples/machines/a64fx_successor.ini";
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string ini = text.str();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"nodes = 192", "nodes = 1536"},
+        {"dims = 4 2 2 2 3 2", "dims = 8 4 4 2 3 2"}}) {
+    const auto pos = ini.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    ini.replace(pos, from.size(), to);
+  }
+  Service service(small_config());
+  const std::string reply = service.handle(
+      "{\"op\":\"simulate\",\"machine_ini\":\"" + json::escape(ini) +
+      "\",\"jobs\":100,\"mean_interarrival_s\":4,\"max_nodes\":64,"
+      "\"seed\":1}");
+  EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
   service.shutdown();
 }
 
