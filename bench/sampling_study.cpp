@@ -15,7 +15,7 @@
 // frame steps tightens the interval at the same K.
 //
 // Deterministic: identical --seed gives a byte-identical table, CSV and
-// Chrome trace (the CI smoke job runs this twice and cmp's both).
+// Chrome trace (ctest determinism.sampling_study checks their digests).
 #include <cmath>
 #include <cstdio>
 #include <iostream>

@@ -9,13 +9,13 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/time.h"
 #include "fault/validate.h"
 #include "io/filesystem.h"
 #include "power/attribution.h"
 #include "trace/recorder.h"
 #include "util/check.h"
 #include "util/log.h"
+#include "util/time.h"
 
 namespace ctesim::batch {
 

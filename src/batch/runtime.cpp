@@ -39,7 +39,8 @@ const roofline::ExecModel& RuntimeModel::exec_at(double freq_scale) const {
   return pos->second;
 }
 
-double RuntimeModel::base_runtime(const Job& job, double freq_scale) const {
+double RuntimeModel::reference_runtime(const Job& job,
+                                       double freq_scale) const {
   if (job.fixed_runtime_s > 0.0) return job.fixed_runtime_s;
   const JobProfile& p = job.profile;
   CTESIM_EXPECTS(p.elems_per_node > 0.0 && p.iterations >= 1);
@@ -57,11 +58,6 @@ double RuntimeModel::base_runtime(const Job& job, double freq_scale) const {
   return (p.iterations * t_iter / (1.0 - p.comm_fraction)).value();
 }
 
-double RuntimeModel::reference_runtime(const Job& job,
-                                       double freq_scale) const {
-  return base_runtime(job, freq_scale);
-}
-
 double RuntimeModel::traffic_bytes_per_node(const Job& job) const {
   if (job.fixed_runtime_s > 0.0) return 0.0;
   const JobProfile& p = job.profile;
@@ -77,7 +73,7 @@ double RuntimeModel::slowdown(const Job& job, double hops) const {
 
 double RuntimeModel::runtime(const Job& job, double hops,
                              double freq_scale) const {
-  return base_runtime(job, freq_scale) * slowdown(job, hops);
+  return reference_runtime(job, freq_scale) * slowdown(job, hops);
 }
 
 sampling::Outcome RuntimeModel::sampled_runtime(

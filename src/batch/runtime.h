@@ -74,7 +74,6 @@ class RuntimeModel {
   const net::TorusTopology& topology() const { return topology_; }
 
  private:
-  double base_runtime(const Job& job, double freq_scale) const;
   /// The exec model at a DVFS frequency scale (1.0 = the base model);
   /// scaled models are built lazily and cached per distinct scale.
   const roofline::ExecModel& exec_at(double freq_scale) const;

@@ -40,9 +40,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/time.h"
 #include "util/check.h"
 #include "util/inline_function.h"
+#include "util/time.h"
 
 namespace ctesim::sim {
 

@@ -16,8 +16,8 @@
 #include <map>
 #include <vector>
 
-#include "core/time.h"
 #include "net/network.h"
+#include "util/time.h"
 
 namespace ctesim::trace {
 class Recorder;

@@ -6,7 +6,7 @@
 // connection is closed (the framing cannot be trusted past that point).
 //
 // Port 0 binds an ephemeral port; port() reports the actual one (tests and
-// the CI smoke job use this to avoid collisions).
+// the CI daemon steps use this to avoid collisions).
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,12 @@
 #include "trace/chrome.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/check.h"
 #include "util/json.h"
 
 namespace ctesim::trace {
@@ -36,12 +38,6 @@ std::string ts_us(sim::Time ps) {
   std::snprintf(buf, sizeof(buf), "%lld.%06lld",
                 static_cast<long long>(ps / 1'000'000),
                 static_cast<long long>(ps % 1'000'000));
-  return buf;
-}
-
-std::string number(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
   return buf;
 }
 
@@ -97,6 +93,15 @@ void write_args(std::ostream& os, const std::string& detail,
 std::string json_escape(const std::string& s) { return json::escape(s); }
 
 void write_chrome_trace(const Recorder& recorder, std::ostream& os) {
+  // JSON has no spelling for NaN or infinity ("%.12g" would print "nan").
+  // Checked before the first byte so a bad counter leaves no torn document.
+  for (const CounterSample& c : recorder.counters()) {
+    if (!std::isfinite(c.value)) {
+      throw ContractError(std::string("trace: counter '") + c.name +
+                          "' has a non-finite value");
+    }
+  }
+
   EventWriter events(os);
   events.open();
 
@@ -141,8 +146,8 @@ void write_chrome_trace(const Recorder& recorder, std::ostream& os) {
     std::ostream& e = events.next();
     e << "\"name\":\"" << json_escape(c.name) << "\",\"ph\":\"C\",";
     write_common(e, c.category, c.track, c.time);
-    e << ",\"args\":{\"" << json_escape(c.name) << "\":" << number(c.value)
-      << "}";
+    e << ",\"args\":{\"" << json_escape(c.name)
+      << "\":" << json::number(c.value) << "}";
     events.finish();
   }
 

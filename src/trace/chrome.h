@@ -15,6 +15,8 @@
 
 namespace ctesim::trace {
 
+/// Throws ContractError if any counter value is NaN or infinite (JSON
+/// cannot represent it); nothing is written in that case.
 void write_chrome_trace(const Recorder& recorder, std::ostream& os);
 
 /// Writes to `path`; throws std::runtime_error if the file cannot open.

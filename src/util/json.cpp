@@ -62,9 +62,16 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        // The descent recurses once per level, so an unbounded depth lets
+        // a short line of '[' overflow the stack.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.type = Value::Type::kString;
@@ -246,8 +253,11 @@ class Parser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 128;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

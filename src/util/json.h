@@ -31,7 +31,8 @@ struct Value {
 };
 
 /// Parse one JSON document (value + optional trailing whitespace). Throws
-/// std::runtime_error with a byte offset on malformed input.
+/// std::runtime_error with a byte offset on malformed input, including
+/// arrays/objects nested more than 128 levels deep.
 Value parse(std::string_view text);
 
 /// Escape `s` for embedding inside a JSON string literal (no quotes added).

@@ -533,5 +533,22 @@ TEST(Tcp, OversizedLineGetsTypedError) {
   service.shutdown();
 }
 
+TEST(Tcp, DeeplyNestedLineGetsTypedErrorAndServiceKeepsServing) {
+  // Regression: 60 000 '[' fit under the default 64 KiB line cap and used
+  // to overflow the recursive JSON parser's stack, killing the daemon.
+  Service service(small_config());
+  TcpServer tcp(service, TcpOptions{});
+  tcp.start();
+  Client client("127.0.0.1", tcp.port());
+  EXPECT_TRUE(is_error(client.request(std::string(60000, '[')),
+                       "bad_request"));
+  EXPECT_EQ(client.request("{\"op\":\"ping\"}"),
+            "{\"op\":\"ping\",\"status\":\"ok\"}");
+  EXPECT_NE(client.request(simulate_line(10, 1)).find("\"status\":\"ok\""),
+            std::string::npos);
+  tcp.stop();
+  service.shutdown();
+}
+
 }  // namespace
 }  // namespace ctesim::server

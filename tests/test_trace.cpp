@@ -3,6 +3,8 @@
 // full JSON round-trip through the bundled parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -11,10 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "apps/wrf.h"
 #include "arch/configs.h"
 #include "batch/cluster.h"
 #include "batch/workload.h"
 #include "core/engine.h"
+#include "fault/fault.h"
+#include "power/power_model.h"
 #include "trace/chrome.h"
 #include "trace/recorder.h"
 #include "util/json.h"
@@ -161,19 +166,51 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(json::parse("nul"), std::runtime_error);
+  // Nesting is bounded so a short line cannot overflow the parser's stack.
+  EXPECT_THROW(json::parse(std::string(60000, '[')), std::runtime_error);
+  EXPECT_THROW(json::parse(std::string(129, '[') + std::string(129, ']')),
+               std::runtime_error);
+  EXPECT_NO_THROW(
+      json::parse(std::string(128, '[') + std::string(128, ']')));
 }
 
 // A small batch workload used by the export tests: real scheduler, real
 // placement, recorded end to end.
-batch::ClusterResult traced_cluster(Recorder* rec) {
+batch::ClusterResult traced_cluster(Recorder* rec,
+                                    batch::ClusterOptions options = {}) {
   const batch::RuntimeModel model(arch::cte_arm());
   batch::WorkloadConfig config;
   config.num_jobs = 24;
   config.mean_interarrival_s = 20.0;
   const auto jobs = batch::generate(config, model, 17);
-  batch::ClusterOptions options;
   options.recorder = rec;
   return batch::run_cluster(model, jobs, options);
+}
+
+// Exports `rec`, parses it back and checks that every counter of
+// `category` survives with its name and value, in recording order. Returns
+// how many there were.
+std::size_t expect_counters_round_trip(const Recorder& rec,
+                                       const std::string& category) {
+  std::ostringstream os;
+  write_chrome_trace(rec, os);
+  const auto doc = json::parse(os.str());
+  std::vector<std::string> parsed;
+  for (const auto& ev : doc.find("traceEvents")->array) {
+    if (ev.find("ph")->string != "C" || ev.find("cat")->string != category) {
+      continue;
+    }
+    const auto& arg = ev.find("args")->object.at(0);
+    parsed.push_back(arg.first + "=" + json::number(arg.second.number));
+  }
+  std::vector<std::string> recorded;
+  for (const auto& c : rec.counters()) {
+    if (c.category == category) {
+      recorded.push_back(std::string(c.name) + "=" + json::number(c.value));
+    }
+  }
+  EXPECT_EQ(parsed, recorded) << category;
+  return recorded.size();
 }
 
 TEST(Chrome, ExportIsByteIdenticalForIdenticalRuns) {
@@ -225,6 +262,46 @@ TEST(Chrome, ExportRoundTripsThroughJsonParser) {
   EXPECT_FALSE(rec.counter_series("utilization").empty());
   EXPECT_FALSE(rec.counter_series("queue_depth").empty());
   EXPECT_FALSE(rec.counter_series("busy_nodes").empty());
+
+  // The counter families the energy, resilience and sampling studies
+  // export parse back value for value.
+  const auto pm = power::default_power(arch::cte_arm());
+  Recorder powered;
+  batch::ClusterOptions power_options;
+  power_options.power = &pm;
+  traced_cluster(&powered, power_options);
+  EXPECT_GT(expect_counters_round_trip(powered, "power"), 0u);
+
+  fault::FaultTimeline faults;
+  faults.fail(100.0, 3);
+  faults.repair(400.0, 3);
+  Recorder faulted;
+  batch::ClusterOptions fault_options;
+  fault_options.faults = &faults;
+  traced_cluster(&faulted, fault_options);
+  EXPECT_GT(expect_counters_round_trip(faulted, "fault"), 0u);
+  const auto down = faulted.counter_series("down_nodes");
+  EXPECT_TRUE(std::any_of(down.begin(), down.end(),
+                          [](const auto& s) { return s.value == 1.0; }));
+
+  apps::WrfConfig wrf;
+  wrf.sampling.mode = sampling::Mode::kSampled;
+  wrf.sampling.k = 2;
+  Recorder sampled;
+  wrf.recorder = &sampled;
+  apps::run_wrf(arch::cte_arm(), 1, wrf);
+  EXPECT_GE(expect_counters_round_trip(sampled, "sampling"), 4u);
+}
+
+TEST(Chrome, NonFiniteCounterIsRejectedBeforeWriting) {
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Recorder rec;
+    rec.counter(Track::global(), "batch", "ok", 0, 1.0);
+    rec.counter(Track::global(), "batch", "bad", 10, bad);
+    std::ostringstream os;
+    EXPECT_THROW(write_chrome_trace(rec, os), ContractError);
+    EXPECT_TRUE(os.str().empty());
+  }
 }
 
 TEST(Chrome, JobLifecycleSpansMatchRecords) {

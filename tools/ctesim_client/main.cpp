@@ -1,6 +1,6 @@
 // ctesim_client: fire requests at a running ctesim_server and print the
 // reply lines to stdout (one per line, exactly as received — byte-identical
-// across cache hits, which the CI smoke job checks with `cmp`).
+// across cache hits, which CI checks with `cmp`).
 //
 //   ctesim_client --port 4000 --machine cte-arm --jobs 500 --seed 7
 //   ctesim_client --port 4000 --request '{"op":"ping"}'

@@ -4,8 +4,8 @@
 //   ctesim_client --port $(cat /tmp/port) --machine cte-arm --jobs 500
 //
 // --port 0 binds an ephemeral port; --port-file publishes the bound port so
-// scripts (and the CI smoke job) can find it. SIGINT/SIGTERM shut the
-// server down cleanly: in-flight simulations finish, queued requests get a
+// scripts (and CI) can find it. SIGINT/SIGTERM shut the server down
+// cleanly: in-flight simulations finish, queued requests get a
 // "shutting_down" reply, and with --trace a merged Chrome trace is written.
 #include <sys/select.h>
 
