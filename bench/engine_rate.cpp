@@ -2,7 +2,7 @@
 // (ROADMAP item 1), reported in the RIKEN Post-K-simulator style: an
 // explicit events/sec figure per scenario, defended in CI.
 //
-// Two layers of benchmarks:
+// Layers of benchmarks:
 //   - Engine microbenchmarks (BM_EventQueuePushPop, BM_ScheduleDispatch,
 //     BM_SpawnResume) isolate the hot path itself: the 4-ary event queue,
 //     InlineFunction dispatch and pooled coroutine frames. The *Legacy
@@ -13,6 +13,8 @@
 //   - Placement benchmarks (BM_TorusHops, BM_AllocateContiguous at 192,
 //     1536 and 12288 nodes) time the topology and allocator layer that
 //     dominates the cluster benchmarks, and how it grows with machine size.
+//   - BM_MailboxPingPong (384 and 9216 ranks) times the simulated-MPI
+//     layer: message matching through World's mailboxes, in messages/sec.
 //   - Cluster benchmarks (BM_ClusterEngine, BM_ClusterEnginePower) run the
 //     canonical 192-node CTE-Arm batch study end to end. They report both
 //     events/sec from ClusterResult::engine_events (raw engine dispatches —
@@ -26,6 +28,7 @@
 // benchmark::Initialize sees it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +48,7 @@
 #include "net/topology.h"
 #include "power/power_model.h"
 #include "sched/allocator.h"
+#include "simmpi/world.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -400,6 +404,73 @@ BENCHMARK(BM_AllocateContiguous)
     ->Arg(1536)
     ->Arg(12288)
     ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Simulated-MPI layer: BM_MailboxPingPong runs a zero-compute World with
+// NEMO's per-step pattern (a halo exchange with the 2D neighbours of a
+// non-periodic px x py grid, then allreduce(8)) on fully populated CTE-Arm
+// nodes, 384 ranks (8 nodes) and 9216 (192). Each iteration builds, runs
+// and tears down one World, so every mailbox is created on first touch
+// and then reused. A run has as many steps as make ~300k messages.
+// events_per_s counts messages.
+// ---------------------------------------------------------------------------
+constexpr int kPingPongHaloBytes = 4096;
+constexpr double kPingPongMessagesPerRun = 300000.0;
+
+void BM_MailboxPingPong(benchmark::State& state) {
+  const int nranks = static_cast<int>(state.range(0));
+  const arch::MachineModel machine = arch::cte_arm();
+  int px = 1;
+  for (int cand = 1; cand * cand <= nranks; ++cand) {
+    if (nranks % cand == 0) px = cand;
+  }
+  const int py = nranks / px;
+  // Messages per step: one per (rank, neighbour) of the halo, plus the
+  // allreduce's fold to a power of two p2, log2(p2) doubling rounds and
+  // unfold.
+  int p2 = 1;
+  int rounds = 0;
+  while (p2 * 2 <= nranks) {
+    p2 *= 2;
+    ++rounds;
+  }
+  const double halo = 2.0 * (px - 1) * py + 2.0 * px * (py - 1);
+  const double reduce = 2.0 * (nranks - p2) + static_cast<double>(p2) * rounds;
+  const int steps = std::max(
+      1, static_cast<int>(kPingPongMessagesPerRun / (halo + reduce)));
+  const double messages_per_run = (halo + reduce) * steps;
+
+  for (auto _ : state) {
+    mpi::WorldOptions options;
+    options.machine = machine;
+    mpi::World world(std::move(options),
+                     mpi::Placement::per_core(machine.node, nranks));
+    world.run([px, py, steps](mpi::Rank& rank) -> sim::Task<> {
+      const int cx = rank.id() % px;
+      const int cy = rank.id() / px;
+      std::vector<int> neighbors;
+      if (cx > 0) neighbors.push_back(rank.id() - 1);
+      if (cx + 1 < px) neighbors.push_back(rank.id() + 1);
+      if (cy > 0) neighbors.push_back(rank.id() - px);
+      if (cy + 1 < py) neighbors.push_back(rank.id() + px);
+      for (int s = 0; s < steps; ++s) {
+        co_await rank.exchange(neighbors, kPingPongHaloBytes, /*tag=*/1);
+        co_await rank.allreduce(8);
+      }
+    });
+    benchmark::DoNotOptimize(world.engine().events_processed());
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      messages_per_run * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["events_per_run"] = benchmark::Counter(messages_per_run);
+}
+
+// Pinned like the cluster benchmarks: one 9216-rank run takes ~0.5 s.
+BENCHMARK(BM_MailboxPingPong)->Arg(384)->Iterations(10)->Unit(
+    benchmark::kMillisecond);
+BENCHMARK(BM_MailboxPingPong)->Arg(9216)->Iterations(3)->Unit(
+    benchmark::kMillisecond);
 
 /// Console output plus a captured copy of every run for the JSON summary.
 class CaptureReporter : public benchmark::ConsoleReporter {

@@ -5,16 +5,57 @@
 // is available. A push with receivers waiting hands the value directly to
 // the oldest waiter, so a later receiver can never steal an item from an
 // earlier one — wakeup order is FIFO and deterministic.
+//
+// Both queues are a vector plus a head index, so a channel that has never
+// held a value or a waiter owns no heap memory: the simulated-MPI layer
+// keeps one channel per (destination, source, tag) and most of them are
+// short or idle. The vector resets when the queue drains and compacts once
+// the head passes half its size, so a channel that never drains stays
+// bounded by its backlog.
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "core/engine.h"
 
 namespace ctesim::sim {
+
+namespace detail {
+
+/// FIFO queue over a vector: live entries are [head_, buf_.size()).
+template <typename T>
+class VectorFifo {
+ public:
+  bool empty() const { return head_ == buf_.size(); }
+  std::size_t size() const { return buf_.size() - head_; }
+  T& front() { return buf_[head_]; }
+  void push_back(T value) { buf_.push_back(std::move(value)); }
+
+  void pop_front() {
+    ++head_;
+    if (head_ == buf_.size()) {
+      // Drained: keep the capacity for the next burst.
+      buf_.clear();
+      head_ = 0;
+    } else if (2 * head_ > buf_.size()) {
+      // Fewer live entries than dead ones: move the live ones down, at a
+      // cost the head_ pops since the last compaction already paid for.
+      buf_.erase(buf_.begin(), buf_.begin() +
+                                   static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<T> buf_;
+  std::size_t head_ = 0;
+};
+
+}  // namespace detail
 
 template <typename T>
 class Channel {
@@ -79,8 +120,8 @@ class Channel {
   };
 
   Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Waiter*> waiters_;
+  detail::VectorFifo<T> items_;
+  detail::VectorFifo<Waiter*> waiters_;
 };
 
 }  // namespace ctesim::sim

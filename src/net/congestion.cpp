@@ -8,34 +8,50 @@
 namespace ctesim::net {
 
 CongestionModel::CongestionModel(const Network& network)
-    : network_(&network) {}
+    : network_(&network),
+      torus_(dynamic_cast<const TorusTopology*>(&network.topology())) {}
+
+template <typename Visit>
+void CongestionModel::for_each_link(int src, int dst, Visit&& visit) const {
+  CTESIM_EXPECTS(src != dst);
+  if (torus_ == nullptr) {
+    // Fat-tree: the shared resources are each endpoint's up/down links.
+    visit(LinkId{static_cast<std::int32_t>(src), 0, +1});
+    visit(LinkId{static_cast<std::int32_t>(dst), 0, -1});
+    return;
+  }
+  // Dimension-order routing: walk each dimension along the shorter wrap
+  // direction, emitting the departing link of every intermediate node.
+  // Row-major numbering: dimension d's coordinate is node / stride % n,
+  // where stride is the product of the later dimensions.
+  const auto& dims = torus_->dims();
+  CTESIM_EXPECTS(src >= 0 && src < torus_->num_nodes());
+  CTESIM_EXPECTS(dst >= 0 && dst < torus_->num_nodes());
+  int node = src;
+  int stride = torus_->num_nodes();
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    const int n = dims[d];
+    stride /= n;
+    int here = src / stride % n;
+    const int there = dst / stride % n;
+    const int forward = (there - here + n) % n;
+    const int dir = forward <= n - forward ? +1 : -1;
+    while (here != there) {
+      visit(LinkId{static_cast<std::int32_t>(node),
+                   static_cast<std::int16_t>(d),
+                   static_cast<std::int16_t>(dir)});
+      const int next = (here + dir + n) % n;
+      node += (next - here) * stride;
+      here = next;
+    }
+  }
+}
 
 std::vector<LinkId> CongestionModel::route(int src, int dst) const {
-  CTESIM_EXPECTS(src != dst);
   std::vector<LinkId> links;
-  const Topology& topology = network_->topology();
-  if (const auto* torus = dynamic_cast<const TorusTopology*>(&topology)) {
-    // Dimension-order routing: walk each dimension along the shorter wrap
-    // direction, emitting the departing link of every intermediate node.
-    auto here = torus->coordinates(src);
-    const auto there = torus->coordinates(dst);
-    const auto& dims = torus->dims();
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      while (here[d] != there[d]) {
-        const int n = dims[d];
-        const int forward = (there[d] - here[d] + n) % n;
-        const int dir = forward <= n - forward ? +1 : -1;
-        links.push_back(LinkId{
-            static_cast<std::int32_t>(torus->node_at(here)),
-            static_cast<std::int16_t>(d), static_cast<std::int16_t>(dir)});
-        here[d] = (here[d] + dir + n) % n;
-      }
-    }
-  } else {
-    // Fat-tree: the shared resources are each endpoint's up/down links.
-    links.push_back(LinkId{static_cast<std::int32_t>(src), 0, +1});
-    links.push_back(LinkId{static_cast<std::int32_t>(dst), 0, -1});
-  }
+  for_each_link(src, dst, [&links](const LinkId& link) {
+    links.push_back(link);
+  });
   CTESIM_ENSURES(!links.empty());
   return links;
 }
@@ -46,7 +62,6 @@ sim::Time CongestionModel::transfer_at(int src, int dst, std::uint64_t bytes,
   // per-link occupancy; congestion adds waiting for busy links.
   const Transfer base =
       network_->transfer(src, dst, bytes, sim::to_seconds(now));
-  const auto links = route(src, dst);
   const auto& spec = network_->spec();
   // Wire occupancy of the message on one link. The torus' first dimension
   // (rack-spanning) runs slower, consistent with long_dim_bw_penalty.
@@ -61,7 +76,7 @@ sim::Time CongestionModel::transfer_at(int src, int dst, std::uint64_t bytes,
   sim::Time head = now + sim::from_seconds(spec.base_latency_s);
   sim::Time tail = head;
   sim::Time queued = 0;
-  for (const LinkId& link : links) {
+  for_each_link(src, dst, [&](const LinkId& link) {
     sim::Time& busy = busy_until_[link];
     const sim::Time start = std::max(head, busy);
     queued += start - head;
@@ -69,7 +84,7 @@ sim::Time CongestionModel::transfer_at(int src, int dst, std::uint64_t bytes,
     busy = start + occ;
     tail = std::max(tail, busy);
     head = start + per_hop;  // cut-through: the head moves on per hop
-  }
+  });
   queueing_s_ += sim::to_seconds(queued);
   if (recorder_ && recorder_->enabled()) {
     int busy = 0;

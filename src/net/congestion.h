@@ -62,7 +62,14 @@ class CongestionModel {
   void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
  private:
+  /// Call `visit(LinkId)` for each link of route(src, dst), in order,
+  /// without allocating.
+  template <typename Visit>
+  void for_each_link(int src, int dst, Visit&& visit) const;
+
   const Network* network_;
+  /// The network's torus, or nullptr for a fat-tree.
+  const TorusTopology* torus_ = nullptr;
   // Ordered map: transfer_at iterates this to derive recorder counters, so
   // the walk must be reproducible across runs and standard libraries.
   std::map<LinkId, sim::Time> busy_until_;

@@ -113,12 +113,12 @@ sim::Channel<Message>& World::mailbox(int dst, int src, int tag) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src) << 24) | static_cast<std::uint64_t>(tag);
   auto& box = mailboxes_[static_cast<std::size_t>(dst)];
-  auto it = box.find(key);
-  if (it == box.end()) {
-    it = box.emplace(key, std::make_unique<sim::Channel<Message>>(engine_))
-             .first;
+  for (const MailboxSlot& slot : box) {
+    if (slot.key == key) return *slot.channel;
   }
-  return *it->second;
+  sim::Channel<Message>& channel = channels_.emplace_back(engine_);
+  box.push_back(MailboxSlot{key, &channel});
+  return channel;
 }
 
 void World::record(int rank, sim::Time start, sim::Time end, const char* kind,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -173,11 +174,18 @@ class World {
   roofline::ExecModel exec_;
   sim::Engine engine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  // One mailbox map per destination rank, keyed by (src, tag). Lookup-only
-  // (never iterated), so hash order cannot perturb message delivery.
-  std::vector<std::unordered_map<std::uint64_t,
-                                 std::unique_ptr<sim::Channel<Message>>>>
-      mailboxes_;
+  /// One (src, tag) key of a destination's mailbox and its channel.
+  struct MailboxSlot {
+    std::uint64_t key;
+    sim::Channel<Message>* channel;
+  };
+  // Per destination rank, a small array of its (src, tag) keys in
+  // first-touch order, scanned linearly: no workload gives a rank more than
+  // a few dozen. The channels live in channels_, a deque so that they never
+  // move while a receiver suspended in pop() holds a reference; they are
+  // created in first-touch order, which is deterministic.
+  std::vector<std::vector<MailboxSlot>> mailboxes_;
+  std::deque<sim::Channel<Message>> channels_;
   std::vector<Rng> jitter_;
   std::map<std::string, std::vector<double>> phase_times_;
   std::unique_ptr<Group> world_group_;

@@ -1,6 +1,8 @@
 // Tests for the link-congestion model.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arch/configs.h"
 #include "net/congestion.h"
 #include "simmpi/world.h"
@@ -24,6 +26,47 @@ TEST(Route, FollowsDimensionOrder) {
     EXPECT_EQ(static_cast<int>(links.size()), torus->hops(0, dst)) << dst;
     // The route starts at the source.
     EXPECT_EQ(links.front().node, 0);
+  }
+}
+
+/// Reference walk over the torus' own coordinates()/node_at(): step one
+/// coordinate at a time along the shorter wrap direction.
+std::vector<LinkId> coordinate_route(const TorusTopology& torus, int src,
+                                     int dst) {
+  std::vector<LinkId> links;
+  auto here = torus.coordinates(src);
+  const auto there = torus.coordinates(dst);
+  const auto& dims = torus.dims();
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    while (here[d] != there[d]) {
+      const int n = dims[d];
+      const int forward = (there[d] - here[d] + n) % n;
+      const int dir = forward <= n - forward ? +1 : -1;
+      links.push_back(LinkId{static_cast<std::int32_t>(torus.node_at(here)),
+                             static_cast<std::int16_t>(d),
+                             static_cast<std::int16_t>(dir)});
+      here[d] = (here[d] + dir + n) % n;
+    }
+  }
+  return links;
+}
+
+TEST(Route, MatchesCoordinateWalkOnEveryPair) {
+  // CTE-Arm's TofuD shape, plus odd and even sizes with wrap ties.
+  for (const std::vector<int>& dims : std::vector<std::vector<int>>{
+           {4, 2, 2, 2, 3, 2}, {5, 3, 4}, {6}, {1, 7, 2}}) {
+    arch::InterconnectSpec spec = arch::cte_arm().interconnect;
+    spec.dims = dims;
+    const TorusTopology torus(dims);
+    Network net(spec, torus.num_nodes());
+    CongestionModel model(net);
+    for (int src = 0; src < torus.num_nodes(); ++src) {
+      for (int dst = 0; dst < torus.num_nodes(); ++dst) {
+        if (src == dst) continue;
+        ASSERT_EQ(model.route(src, dst), coordinate_route(torus, src, dst))
+            << torus.describe() << " " << src << " -> " << dst;
+      }
+    }
   }
 }
 

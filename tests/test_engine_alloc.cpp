@@ -11,18 +11,28 @@
 // And of the incremental-reaping regression test: 100k short
 // processes through one engine must keep the tracked-process table O(live),
 // not O(ever spawned).
+//
+// And of the simulated-MPI checks: an idle channel owns no heap memory, a
+// World's message traffic allocates per mailbox, not per message, and a
+// congested transfer allocates only for links it has never seen.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "arch/configs.h"
+#include "core/channel.h"
 #include "core/engine.h"
 #include "core/frame_pool.h"
 #include "core/task.h"
+#include "net/congestion.h"
+#include "net/network.h"
 #include "net/topology.h"
 #include "sched/allocator.h"
+#include "simmpi/world.h"
 #include "util/inline_function.h"
 
 namespace {
@@ -199,6 +209,89 @@ TEST(EngineAlloc, ContiguousPlacementAllocatesOnlyItsResult) {
     EXPECT_GE(mean, count > 1 ? 1.0 : 0.0);
     alloc.release(nodes);
   }
+}
+
+TEST(EngineAlloc, CongestedTransferOverKnownLinksAllocatesNothing) {
+  // Once a route's links have entries in the busy map, a congested
+  // transfer over them walks the route in place.
+  net::Network network(arch::cte_arm().interconnect, 192);
+  net::CongestionModel model(network);
+  model.transfer_at(0, 191, 4096, 0);
+  const auto before = allocations();
+  for (int i = 1; i <= 16; ++i) {
+    model.transfer_at(0, 191, 4096, Time{i} * 1000000);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+}
+
+TEST(EngineAlloc, EmptyChannelAllocatesNothing) {
+  Engine engine;
+  const auto before = allocations();
+  {
+    Channel<mpi::Message> channel(engine);
+    EXPECT_TRUE(channel.empty());
+    EXPECT_EQ(channel.waiting_receivers(), 0u);
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "an idle channel must not own heap memory";
+}
+
+TEST(EngineAlloc, UndrainedChannelReusesItsStorage) {
+  // The backlog never reaches zero, so the queue never resets; compaction
+  // alone must keep it inside the storage it already has.
+  Engine engine;
+  Channel<mpi::Message> channel(engine);
+  std::uint64_t allocated = 0;
+  engine.spawn([](Channel<mpi::Message>& ch, std::uint64_t* out) -> Task<> {
+    ch.push({});
+    for (int i = 0; i < 16; ++i) {
+      ch.push({});
+      co_await ch.pop();
+    }
+    const auto before = allocations();
+    for (int i = 0; i < 10000; ++i) {
+      ch.push({});
+      co_await ch.pop();
+    }
+    *out = allocations() - before;
+  }(channel, &allocated));
+  engine.run();
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(channel.size(), 1u);
+}
+
+/// Heap allocations of one whole 384-rank World (set-up, run, tear-down)
+/// doing `steps` rounds of ring exchange + allreduce(8).
+std::uint64_t ring_world_allocations(int steps) {
+  const auto before = allocations();
+  {
+    mpi::WorldOptions options;
+    options.machine = arch::cte_arm();
+    auto placement = mpi::Placement::per_core(options.machine.node, 384);
+    mpi::World world(std::move(options), std::move(placement));
+    world.run([steps](mpi::Rank& rank) -> Task<> {
+      const int n = rank.size();
+      const std::vector<int> ring{(rank.id() + n - 1) % n,
+                                  (rank.id() + 1) % n};
+      for (int s = 0; s < steps; ++s) {
+        co_await rank.exchange(ring, 4096, /*tag=*/1);
+        co_await rank.allreduce(8);
+      }
+    });
+  }
+  return allocations() - before;
+}
+
+TEST(EngineAlloc, WorldMessagesDoNotAllocatePerStep) {
+  // Every mailbox exists after the first step; later steps reuse the
+  // channels' storage. Warm up the coroutine frame pool first.
+  ring_world_allocations(10);
+  const std::uint64_t short_run = ring_world_allocations(10);
+  const std::uint64_t long_run = ring_world_allocations(40);
+  ASSERT_GE(long_run, short_run);
+  EXPECT_LT(long_run - short_run, 384u)
+      << "30 more steps cost " << (long_run - short_run)
+      << " allocations: at least one per rank";
 }
 
 }  // namespace

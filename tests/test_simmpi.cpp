@@ -123,6 +123,42 @@ TEST(World, MessagesMatchByTagInOrder) {
   EXPECT_EQ(got, (std::vector<std::uint64_t>{200, 100, 300}));
 }
 
+TEST(World, ManyMailboxesPerRankMatchSourceAndTag) {
+  // Rank 0 gets 8 senders x 5 tags = 40 distinct (src, tag) mailboxes,
+  // more than a mailbox's key array ever holds in the apps, and drains
+  // them in the reverse of the order they were filled.
+  constexpr int kSenders = 8;
+  constexpr int kTags = 5;
+  const auto payload = [](int src, int tag) {
+    return static_cast<std::uint64_t>(1000 * src + 10 * tag + 1);
+  };
+  auto opts = cte_options();
+  World world(std::move(opts),
+              Placement::per_node(arch::cte_arm().node, kSenders + 1));
+  std::vector<std::uint64_t> got;
+  std::vector<std::uint64_t> want;
+  world.run([&](Rank& r) -> sim::Task<> {
+    if (r.id() == 0) {
+      // Let every message land before the first receive.
+      co_await r.compute_seconds(1.0);
+      for (int src = kSenders; src >= 1; --src) {
+        for (int tag = kTags - 1; tag >= 0; --tag) {
+          got.push_back(co_await r.recv(src, tag));
+          want.push_back(payload(src, tag));
+        }
+      }
+    } else {
+      // Sender s starts after sender s - 1 has finished: one global order.
+      co_await r.compute_seconds(1e-3 * r.id());
+      for (int tag = 0; tag < kTags; ++tag) {
+        co_await r.send(0, payload(r.id(), tag), tag);
+      }
+    }
+  });
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kSenders * kTags));
+  EXPECT_EQ(got, want);
+}
+
 TEST(World, DeadlockIsReported) {
   auto opts = cte_options();
   World world(std::move(opts), Placement::per_node(arch::cte_arm().node, 2));
