@@ -1,7 +1,7 @@
 // Timeline view of a simulated run: record a trace through the
 // observability subsystem (src/trace/), render an ASCII Gantt (one lane per
-// rank), and export the raw records as CSV or as a Chrome trace for
-// chrome://tracing / Perfetto — the Paraver-style workflow the BSC authors
+// rank), and export the records as a Chrome trace for chrome://tracing /
+// Perfetto — the Paraver-style workflow the BSC authors
 // of the paper use, in miniature.
 #include <cstdio>
 #include <iostream>
@@ -18,12 +18,10 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::string trace_path;
   std::int64_t ranks = 6;
   Cli cli("trace_timeline", "record and render an execution timeline");
   cli.option("ranks", &ranks, "number of simulated ranks")
-      .option("csv", &csv_path, "write the raw trace as CSV")
       .option("trace", &trace_path,
               "write a Chrome trace (chrome://tracing / Perfetto)");
   if (!cli.parse(argc, argv)) return 0;
@@ -60,11 +58,6 @@ int main(int argc, char** argv) {
       "slowest one — the pattern that makes 'time of the slowest process' "
       "the right metric (as the paper reports for Alya).\n");
 
-  if (!csv_path.empty()) {
-    world.write_trace_csv(csv_path);
-    std::printf("raw trace written to %s (%zu records)\n", csv_path.c_str(),
-                world.recorder()->spans().size());
-  }
   if (!trace_path.empty()) {
     trace::write_chrome_trace(*world.recorder(), trace_path);
     std::printf(

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/check.h"
-#include "util/csv.h"
 
 namespace ctesim::mpi {
 
@@ -112,13 +111,13 @@ sim::Channel<Message>& World::mailbox(int dst, int src, int tag) {
   CTESIM_EXPECTS(tag >= 0 && tag < (1 << 24));
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src) << 24) | static_cast<std::uint64_t>(tag);
-  auto& box = mailboxes_[static_cast<std::size_t>(dst)];
-  for (const MailboxSlot& slot : box) {
-    if (slot.key == key) return *slot.channel;
+  Mailboxes& box = mailboxes_[static_cast<std::size_t>(dst)];
+  const std::size_t n = box.keys.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (box.keys[i] == key) return box.channels[i];
   }
-  sim::Channel<Message>& channel = channels_.emplace_back(engine_);
-  box.push_back(MailboxSlot{key, &channel});
-  return channel;
+  box.keys.push_back(key);
+  return box.channels.emplace_back(engine_);
 }
 
 void World::record(int rank, sim::Time start, sim::Time end, const char* kind,
@@ -179,20 +178,6 @@ std::vector<std::string> World::phase_names() const {
   return names;
 }
 
-void World::write_trace_csv(const std::string& path) const {
-  CTESIM_EXPECTS(recorder_ != nullptr);
-  CsvWriter csv(path, {"rank", "start_s", "end_s", "kind", "detail", "bytes",
-                       "peer"});
-  for (const auto& s : recorder_->spans()) {
-    if (s.track.kind != trace::TrackKind::kRank) continue;
-    csv.row(std::vector<std::string>{
-        std::to_string(s.track.index),
-        std::to_string(sim::to_seconds(s.start)),
-        std::to_string(sim::to_seconds(s.end)), s.name, s.detail,
-        std::to_string(s.bytes), std::to_string(s.peer)});
-  }
-}
-
 // --------------------------------------------------------------- Rank ----
 
 Rank::DepositResult Rank::deposit(int dst, std::uint64_t bytes, int tag) {
@@ -234,12 +219,21 @@ Rank::DepositResult Rank::deposit(int dst, std::uint64_t bytes, int tag) {
   return {arrival, sender_done};
 }
 
-sim::Task<> Rank::send(int dst, std::uint64_t bytes, int tag) {
-  const DepositResult d = deposit(dst, bytes, tag);
-  const sim::Time now = world_->engine_.now();
-  if (d.sender_done > now) {
-    co_await world_->engine_.delay(d.sender_done - now);
-  }
+P2P Rank::send(int dst, std::uint64_t bytes, int tag) {
+  return P2P(*this, bytes, tag).to(dst);
+}
+
+P2P Rank::recv(int src, int tag) { return P2P(*this, 0, tag).from(src); }
+
+P2P Rank::sendrecv(int dst, std::uint64_t send_bytes, int src, int tag) {
+  // Full duplex: post the outgoing message, then block on the incoming one;
+  // settle any residual sender-side occupancy afterwards.
+  return P2P(*this, send_bytes, tag).to(dst).from(src);
+}
+
+P2P Rank::exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
+                   int tag) {
+  return P2P(*this, bytes_each, tag).neighbors(neighbors);
 }
 
 Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
@@ -247,69 +241,64 @@ Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
   return Request{d.sender_done};
 }
 
-sim::Task<> Rank::wait(Request request) {
-  const sim::Time now = world_->engine_.now();
-  if (request.complete_at > now) {
-    co_await world_->engine_.delay(request.complete_at - now);
+// ------------------------------------------------------------------ P2P --
+
+bool P2P::await_ready() {
+  for (int i = 0; i < num_srcs_; ++i) {
+    CTESIM_EXPECTS(src(i) >= 0 && src(i) < rank_->size());
   }
+  latest_send_ = rank_->world_->engine_.now();
+  for (int i = 0; i < num_dsts_; ++i) {
+    const Rank::DepositResult d = rank_->deposit(dst(i), bytes_, tag_);
+    latest_send_ = std::max(latest_send_, d.sender_done);
+  }
+  return receive_next();
 }
 
-sim::Task<> Rank::waitall(std::span<const Request> requests) {
-  sim::Time latest = world_->engine_.now();
-  for (const Request& r : requests) {
-    latest = std::max(latest, r.complete_at);
+bool P2P::receive_next() {
+  World& world = *rank_->world_;
+  while (next_src_ < num_srcs_) {
+    recv_start_ = world.engine_.now();
+    if (!world.mailbox(rank_->id_, src(next_src_), tag_).try_receive(*this)) {
+      return false;  // the hand-off calls on_handoff
+    }
+    if (!arrived()) return false;
   }
-  const sim::Time now = world_->engine_.now();
-  if (latest > now) {
-    co_await world_->engine_.delay(latest - now);
-  }
+  return settle();
 }
 
-sim::Task<std::uint64_t> Rank::recv(int src, int tag) {
-  CTESIM_EXPECTS(src >= 0 && src < size());
-  const sim::Time t0 = world_->engine_.now();
-  auto& channel = world_->mailbox(id_, src, tag);
-  const Message msg = co_await channel.pop();
-  const sim::Time now = world_->engine_.now();
-  if (msg.arrival > now) {
-    co_await world_->engine_.delay(msg.arrival - now);
-  }
-  world_->record(id_, t0, world_->engine_.now(), "recv", "", msg.bytes, src);
-  co_return msg.bytes;
+void P2P::on_handoff(sim::Channel<Message>::Waiter& waiter) {
+  static_cast<P2P&>(waiter).resume_receiving();
 }
 
-sim::Task<std::uint64_t> Rank::sendrecv(int dst, std::uint64_t send_bytes,
-                                        int src, int tag) {
-  // Full duplex: post the outgoing message, then block on the incoming one;
-  // settle any residual sender-side occupancy afterwards.
-  const DepositResult d = deposit(dst, send_bytes, tag);
-  const std::uint64_t got = co_await recv(src, tag);
-  const sim::Time now = world_->engine_.now();
-  if (d.sender_done > now) {
-    co_await world_->engine_.delay(d.sender_done - now);
-  }
-  co_return got;
+void P2P::resume_receiving() {
+  if (arrived() && receive_next()) handle.resume();
 }
 
-sim::Task<> Rank::exchange(std::span<const int> neighbors,
-                           std::uint64_t bytes_each, int tag) {
-  sim::Time latest_send = world_->engine_.now();
-  for (int nb : neighbors) {
-    const DepositResult d = deposit(nb, bytes_each, tag);
-    latest_send = std::max(latest_send, d.sender_done);
+bool P2P::arrived() {
+  World& world = *rank_->world_;
+  if (value->arrival > world.engine_.now()) {
+    world.engine_.schedule_at(value->arrival, [this] { resume_receiving(); });
+    return false;
   }
-  for (int nb : neighbors) {
-    co_await recv(nb, tag);
+  world.record(rank_->id_, recv_start_, world.engine_.now(), "recv", "",
+               value->bytes, src(next_src_));
+  ++next_src_;
+  return true;
+}
+
+bool P2P::settle() {
+  sim::Engine& engine = rank_->world_->engine_;
+  if (latest_send_ > engine.now()) {
+    engine.schedule_at(latest_send_, [this] { handle.resume(); });
+    return false;
   }
-  const sim::Time now = world_->engine_.now();
-  if (latest_send > now) {
-    co_await world_->engine_.delay(latest_send - now);
-  }
+  return true;
 }
 
 // ---------------------------------------------------------- collectives --
 
-sim::Task<> Rank::barrier() { co_await barrier(world_->world_group()); }
+sim::Task<> Rank::barrier() { return barrier(world_->world_group()); }
 
 sim::Task<> Rank::barrier(const Group& group) {
   const int p = group.size();
@@ -324,7 +313,7 @@ sim::Task<> Rank::barrier(const Group& group) {
 }
 
 sim::Task<> Rank::bcast(int root, std::uint64_t bytes) {
-  co_await bcast(world_->world_group(), root, bytes);
+  return bcast(world_->world_group(), root, bytes);
 }
 
 sim::Task<> Rank::bcast(const Group& group, int root_vrank,
@@ -356,7 +345,7 @@ sim::Task<> Rank::bcast(const Group& group, int root_vrank,
 }
 
 sim::Task<> Rank::reduce(int root, std::uint64_t bytes) {
-  co_await reduce(world_->world_group(), root, bytes);
+  return reduce(world_->world_group(), root, bytes);
 }
 
 sim::Task<> Rank::reduce(const Group& group, int root_vrank,
@@ -383,7 +372,7 @@ sim::Task<> Rank::reduce(const Group& group, int root_vrank,
 }
 
 sim::Task<> Rank::allreduce(std::uint64_t bytes) {
-  co_await allreduce(world_->world_group(), bytes);
+  return allreduce(world_->world_group(), bytes);
 }
 
 sim::Task<> Rank::allreduce(const Group& group, std::uint64_t bytes) {
@@ -446,7 +435,7 @@ sim::Task<> Rank::ring_allreduce(const Group& group, std::uint64_t bytes) {
 }
 
 sim::Task<> Rank::allgather(std::uint64_t bytes_per_rank) {
-  co_await allgather(world_->world_group(), bytes_per_rank);
+  return allgather(world_->world_group(), bytes_per_rank);
 }
 
 sim::Task<> Rank::allgather(const Group& group,
@@ -464,7 +453,7 @@ sim::Task<> Rank::allgather(const Group& group,
 }
 
 sim::Task<> Rank::alltoall(std::uint64_t bytes_per_pair) {
-  co_await alltoall(world_->world_group(), bytes_per_pair);
+  return alltoall(world_->world_group(), bytes_per_pair);
 }
 
 sim::Task<> Rank::alltoall(const Group& group, std::uint64_t bytes_per_pair) {
@@ -481,7 +470,7 @@ sim::Task<> Rank::alltoall(const Group& group, std::uint64_t bytes_per_pair) {
 }
 
 sim::Task<> Rank::gather(int root, std::uint64_t bytes_per_rank) {
-  co_await gather(world_->world_group(), root, bytes_per_rank);
+  return gather(world_->world_group(), root, bytes_per_rank);
 }
 
 sim::Task<> Rank::gather(const Group& group, int root_vrank,
@@ -512,7 +501,7 @@ sim::Task<> Rank::gather(const Group& group, int root_vrank,
 }
 
 sim::Task<> Rank::scatter(int root, std::uint64_t bytes_per_rank) {
-  co_await scatter(world_->world_group(), root, bytes_per_rank);
+  return scatter(world_->world_group(), root, bytes_per_rank);
 }
 
 sim::Task<> Rank::scatter(const Group& group, int root_vrank,
@@ -547,7 +536,7 @@ sim::Task<> Rank::scatter(const Group& group, int root_vrank,
 }
 
 sim::Task<> Rank::reduce_scatter(std::uint64_t total_bytes) {
-  co_await reduce_scatter(world_->world_group(), total_bytes);
+  return reduce_scatter(world_->world_group(), total_bytes);
 }
 
 sim::Task<> Rank::reduce_scatter(const Group& group,

@@ -7,14 +7,16 @@
 // deterministic for a fixed (options, placement, body).
 #pragma once
 
+#include <algorithm>
+#include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -86,7 +88,7 @@ struct WorldOptions {
   /// Per-pair network bandwidth jitter amplitude (see net::Network).
   double network_jitter = 0.03;
   /// Record a per-rank execution timeline into a World-owned
-  /// trace::Recorder (see World::recorder(), write_trace_csv).
+  /// trace::Recorder (see World::recorder()).
   bool trace = false;
   /// Record into this externally owned recorder instead — lets one trace
   /// span the whole simulation (batch queue + per-rank MPI + network).
@@ -157,12 +159,10 @@ class World {
   /// Per-rank compute/send/recv spans land on trace::Track::rank(r) with
   /// category "mpi"; render with report::Gantt or trace::write_chrome_trace.
   const trace::Recorder* recorder() const { return recorder_; }
-  /// Write the recorded per-rank timeline as CSV (rank,start,end,kind,
-  /// detail,bytes,peer). Requires tracing to be on.
-  void write_trace_csv(const std::string& path) const;
 
  private:
   friend class Rank;
+  friend class P2P;
 
   sim::Channel<Message>& mailbox(int dst, int src, int tag);
   void record(int rank, sim::Time start, sim::Time end, const char* kind,
@@ -174,18 +174,16 @@ class World {
   roofline::ExecModel exec_;
   sim::Engine engine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  /// One (src, tag) key of a destination's mailbox and its channel.
-  struct MailboxSlot {
-    std::uint64_t key;
-    sim::Channel<Message>* channel;
+  /// One destination's mailboxes: its (src, tag) keys and their channels,
+  /// parallel arrays in first-touch order (deterministic). The keys are
+  /// scanned linearly: no workload gives a rank more than a few dozen.
+  /// Channels may move when the array grows; nothing holds a Channel&
+  /// across a suspension.
+  struct Mailboxes {
+    std::vector<std::uint64_t> keys;
+    std::vector<sim::Channel<Message>> channels;
   };
-  // Per destination rank, a small array of its (src, tag) keys in
-  // first-touch order, scanned linearly: no workload gives a rank more than
-  // a few dozen. The channels live in channels_, a deque so that they never
-  // move while a receiver suspended in pop() holds a reference; they are
-  // created in first-touch order, which is deterministic.
-  std::vector<std::vector<MailboxSlot>> mailboxes_;
-  std::deque<sim::Channel<Message>> channels_;
+  std::vector<Mailboxes> mailboxes_;
   std::vector<Rng> jitter_;
   std::map<std::string, std::vector<double>> phase_times_;
   std::unique_ptr<Group> world_group_;
@@ -198,8 +196,83 @@ class World {
   bool ran_ = false;
 };
 
+/// The awaiter behind every point-to-point call (Rank::send, recv,
+/// sendrecv and exchange). It deposits every outgoing message, receives
+/// from each source in order, waiting for each arrival, then settles the
+/// latest sender-side occupancy. `co_await` yields the byte count of the
+/// last message received (0 for a plain send).
+///
+/// A small state machine instead of nested sim::Tasks, so a call costs no
+/// coroutine frame. Each wait is one engine event: a channel hand-off
+/// arrives through the waiter's wake hook, every other wait is a
+/// schedule_at whose callback re-enters the machine. It makes the engine
+/// and trace calls the coroutine version made, in the same order.
+///
+/// Every source rank is validated in await_ready, before the first
+/// deposit, so a ContractError reaches the calling rank and never escapes
+/// an engine callback. Returned by value, so a single peer is stored
+/// inline (a span into the awaiter would dangle); an exchange's neighbor
+/// span must outlive the await.
+class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
+ public:
+  bool await_ready();
+  void await_suspend(std::coroutine_handle<> h) { handle = h; }
+  std::uint64_t await_resume() const noexcept {
+    return value ? value->bytes : 0;
+  }
+
+ private:
+  friend class Rank;
+  P2P(Rank& rank, std::uint64_t bytes, int tag)
+      : rank_(&rank), bytes_(bytes), tag_(tag) {
+    wake = &P2P::on_handoff;
+  }
+  P2P& to(int dst) {
+    dst_ = dst;
+    num_dsts_ = 1;
+    return *this;
+  }
+  P2P& from(int src) {
+    src_ = src;
+    num_srcs_ = 1;
+    return *this;
+  }
+  P2P& neighbors(std::span<const int> peers) {
+    peers_ = peers.data();
+    num_dsts_ = num_srcs_ = static_cast<int>(peers.size());
+    return *this;
+  }
+  int dst(int i) const { return peers_ ? peers_[i] : dst_; }
+  int src(int i) const { return peers_ ? peers_[i] : src_; }
+
+  // The states after await_ready (the start). Each returns true when the
+  // call has finished, false once it has arranged to be re-entered by an
+  // engine event.
+  bool receive_next();
+  bool arrived();
+  bool settle();
+  /// Engine-event entry: a matched message, then the rest of the call;
+  /// resumes the caller once it has finished.
+  void resume_receiving();
+  static void on_handoff(sim::Channel<Message>::Waiter& waiter);
+
+  Rank* rank_;
+  const int* peers_ = nullptr;  ///< exchange: destinations and sources
+  std::uint64_t bytes_;
+  sim::Time recv_start_ = 0;
+  sim::Time latest_send_ = 0;
+  int tag_;
+  int dst_ = 0;
+  int src_ = 0;
+  int num_dsts_ = 0;
+  int num_srcs_ = 0;
+  int next_src_ = 0;
+};
+// A co_await temporary: core/task.h's GCC 12 constraint.
+static_assert(std::is_trivially_destructible_v<P2P>);
+
 /// Handle a rank's coroutine uses to interact with the simulated machine.
-/// All communication/compute methods are awaitable tasks.
+/// All communication/compute methods are awaitable.
 class Rank {
  public:
   int id() const { return id_; }
@@ -216,21 +289,31 @@ class Rank {
   static constexpr int kMaxUserTag = (1 << 20) - 1;
 
   // --- point-to-point (tags must be in [0, kMaxUserTag]) ------------------
-  sim::Task<> send(int dst, std::uint64_t bytes, int tag = 0);
-  sim::Task<std::uint64_t> recv(int src, int tag = 0);
-  /// Full-duplex exchange (MPI_Sendrecv): returns received byte count.
-  sim::Task<std::uint64_t> sendrecv(int dst, std::uint64_t send_bytes,
-                                    int src, int tag = 0);
+  P2P send(int dst, std::uint64_t bytes, int tag = 0);
+  /// Awaits to the received byte count.
+  P2P recv(int src, int tag = 0);
+  /// Full-duplex exchange (MPI_Sendrecv): awaits to the received byte
+  /// count.
+  P2P sendrecv(int dst, std::uint64_t send_bytes, int src, int tag = 0);
   /// Nonblocking send: the message is injected immediately; wait() (or any
   /// later await) settles the residual sender-side occupancy.
   Request isend(int dst, std::uint64_t bytes, int tag = 0);
-  sim::Task<> wait(Request request);
-  sim::Task<> waitall(std::span<const Request> requests);
+  /// Awaitable (Engine::delay) until every request's sender-side
+  /// occupancy has passed.
+  auto waitall(std::span<const Request> requests) {
+    sim::Engine& engine = world_->engine_;
+    sim::Time latest = engine.now();
+    for (const Request& r : requests) {
+      latest = std::max(latest, r.complete_at);
+    }
+    return engine.delay(latest - engine.now());
+  }
+  auto wait(Request request) { return waitall({&request, 1}); }
   /// Post sends to all neighbors, then receive one message from each —
   /// the halo-exchange pattern every domain-decomposed app uses. The span
   /// must reference storage that outlives the await (a named container).
-  sim::Task<> exchange(std::span<const int> neighbors,
-                       std::uint64_t bytes_each, int tag = 0);
+  P2P exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
+               int tag = 0);
 
   // --- collectives (algorithms over point-to-point) ----------------------
   // Each has a whole-world form and a Group form. Group arguments must
@@ -272,6 +355,7 @@ class Rank {
 
  private:
   friend class World;
+  friend class P2P;
   Rank(World& world, int id) : world_(&world), id_(id) {}
 
   /// Compute transfer times and enqueue the message at the destination.

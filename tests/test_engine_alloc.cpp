@@ -260,6 +260,58 @@ TEST(EngineAlloc, UndrainedChannelReusesItsStorage) {
   EXPECT_EQ(channel.size(), 1u);
 }
 
+TEST(EngineAlloc, ShallowChannelKeepsItsValuesInline) {
+  // A backlog of at most two values never leaves the channel's inline
+  // slots, so not even the first push allocates.
+  Engine engine;
+  Channel<mpi::Message> channel(engine);
+  std::uint64_t allocated = 1;
+  engine.spawn([](Channel<mpi::Message>& ch, std::uint64_t* out) -> Task<> {
+    const auto before = allocations();
+    for (int i = 0; i < 1000; ++i) {
+      ch.push({});
+      ch.push({});
+      co_await ch.pop();
+      co_await ch.pop();
+    }
+    *out = allocations() - before;
+  }(channel, &allocated));
+  engine.run();
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_TRUE(channel.empty());
+}
+
+TEST(EngineAlloc, ParkedReceiversAllocateNothingAndWakeInOrder) {
+  // Waiters are an intrusive FIFO of records the receivers own: parking
+  // 1000 of them and handing each a value costs the channel nothing.
+  constexpr int kReceivers = 1000;
+  Engine engine;
+  // Grow the event queue to kReceivers pending events first, so that the
+  // channel is the only thing left that could allocate.
+  for (int i = 0; i < kReceivers; ++i) engine.schedule_in(0, [] {});
+  engine.run();
+  Channel<int> channel(engine);
+  std::vector<int> woken;
+  woken.reserve(kReceivers);
+  for (int id = 0; id < kReceivers; ++id) {
+    engine.spawn([](Channel<int>& ch, int me, std::vector<int>* out) -> Task<> {
+      const int value = co_await ch.pop();
+      EXPECT_EQ(value, me);
+      out->push_back(me);
+    }(channel, id, &woken));
+  }
+  const auto before = allocations();
+  engine.run();  // every receiver starts and parks
+  EXPECT_EQ(channel.waiting_receivers(), static_cast<std::size_t>(kReceivers));
+  for (int value = 0; value < kReceivers; ++value) channel.push(value);
+  engine.run();
+  EXPECT_EQ(allocations() - before, 0u);
+  ASSERT_EQ(woken.size(), static_cast<std::size_t>(kReceivers));
+  for (int id = 0; id < kReceivers; ++id) {
+    EXPECT_EQ(woken[static_cast<std::size_t>(id)], id);
+  }
+}
+
 /// Heap allocations of one whole 384-rank World (set-up, run, tear-down)
 /// doing `steps` rounds of ring exchange + allreduce(8).
 std::uint64_t ring_world_allocations(int steps) {

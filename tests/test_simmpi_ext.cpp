@@ -3,9 +3,6 @@
 // switch, and execution tracing.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "arch/configs.h"
@@ -215,17 +212,6 @@ TEST(Trace, RecordsComputeAndMessaging) {
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(sends, 1);
   EXPECT_EQ(recvs, 1);
-
-  const std::string path = ::testing::TempDir() + "ctesim_trace_test.csv";
-  world.write_trace_csv(path);
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "rank,start_s,end_s,kind,detail,bytes,peer");
-  int lines = 0;
-  for (std::string line; std::getline(in, line);) ++lines;
-  EXPECT_EQ(lines, 3);
-  std::remove(path.c_str());
 }
 
 TEST(World, RankExceptionPropagatesFromRun) {

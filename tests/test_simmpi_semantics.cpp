@@ -3,10 +3,12 @@
 // the cost attribution relies on).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "arch/configs.h"
 #include "simmpi/world.h"
+#include "util/check.h"
 
 namespace ctesim::mpi {
 namespace {
@@ -169,6 +171,149 @@ TEST(Semantics, PhaseAvgAndMaxRelate) {
   const auto names = world.phase_names();
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0], "w");
+}
+
+// --- the point-to-point awaiter's paths -----------------------------------
+
+WorldOptions traced_options() {
+  WorldOptions o = quiet_options();
+  o.trace = true;
+  return o;
+}
+
+/// `rank`'s message spans in recording order.
+std::vector<trace::Span> message_spans(const World& world, int rank) {
+  std::vector<trace::Span> out;
+  for (const trace::Span& s : world.recorder()->spans()) {
+    if (s.track == trace::Track::rank(rank) && s.name != "compute") {
+      out.push_back(s);
+    }
+  }
+  return out;
+}
+
+TEST(P2P, RecvPostedBeforeOrAfterItsSendMatchesTheSame) {
+  // Both ranks act at t = 0 and ranks start in id order. With the sender
+  // as rank 0 the message is queued before the receive posts; with the
+  // sender as rank 1 the receive parks first and takes a hand-off.
+  struct Outcome {
+    std::vector<trace::Span> sender;
+    std::vector<trace::Span> receiver;
+    sim::Time receiver_done = -1;
+  };
+  auto run_with_sender = [](int sender) {
+    World world(traced_options(),
+                Placement::per_node(arch::cte_arm().node, 2));
+    Outcome out;
+    world.run([&](Rank& r) -> sim::Task<> {
+      if (r.id() == sender) {
+        co_await r.send(1 - sender, 4096, 3);
+      } else {
+        const std::uint64_t got = co_await r.recv(sender, 3);
+        EXPECT_EQ(got, 4096u);
+        out.receiver_done = r.world().engine().now();
+      }
+    });
+    out.sender = message_spans(world, sender);
+    out.receiver = message_spans(world, 1 - sender);
+    return out;
+  };
+  const Outcome queued = run_with_sender(0);
+  const Outcome parked = run_with_sender(1);
+  ASSERT_EQ(queued.receiver.size(), 1u);
+  ASSERT_EQ(parked.receiver.size(), 1u);
+  ASSERT_EQ(queued.sender.size(), 1u);
+  ASSERT_EQ(parked.sender.size(), 1u);
+  EXPECT_EQ(queued.receiver[0].name, "recv");
+  EXPECT_EQ(parked.receiver[0].name, "recv");
+  EXPECT_EQ(queued.receiver[0].start, parked.receiver[0].start);
+  EXPECT_EQ(queued.receiver[0].end, parked.receiver[0].end);
+  EXPECT_EQ(queued.receiver[0].bytes, parked.receiver[0].bytes);
+  EXPECT_EQ(queued.sender[0].start, parked.sender[0].start);
+  EXPECT_EQ(queued.sender[0].end, parked.sender[0].end);
+  EXPECT_EQ(queued.receiver_done, parked.receiver_done);
+  EXPECT_EQ(queued.receiver_done, queued.receiver[0].end);
+  EXPECT_GT(queued.receiver_done, 0);
+}
+
+TEST(P2P, ExchangeTakesALaterNeighboursEarlierMessage) {
+  // Rank 2's message reaches rank 0 long before rank 1's. Rank 0 still
+  // receives in neighbour order: it waits for rank 1, then finds rank 2's
+  // message already there.
+  World world(traced_options(),
+              Placement::per_node(arch::cte_arm().node, 3));
+  const std::vector<int> hub{1, 2};
+  const std::vector<int> spoke{0};
+  world.run([&](Rank& r) -> sim::Task<> {
+    if (r.id() == 0) {
+      co_await r.exchange(hub, 1024);
+    } else {
+      if (r.id() == 1) co_await r.compute_seconds(50e-6);
+      co_await r.exchange(spoke, 1024);
+    }
+  });
+  std::vector<trace::Span> recvs;
+  for (const trace::Span& s : message_spans(world, 0)) {
+    if (s.name == "recv") recvs.push_back(s);
+  }
+  ASSERT_EQ(recvs.size(), 2u);
+  EXPECT_EQ(recvs[0].peer, 1);
+  EXPECT_EQ(recvs[1].peer, 2);
+  EXPECT_GT(recvs[0].end, sim::from_seconds(50e-6));
+  EXPECT_EQ(recvs[1].start, recvs[0].end);
+  EXPECT_EQ(recvs[1].end, recvs[0].end);
+}
+
+TEST(P2P, RendezvousSendrecvSettlesAfterItsRecv) {
+  // Rank 0 sends a rendezvous-size message and receives a small one: the
+  // receive completes first, and the call returns only when the send does.
+  World world(traced_options(),
+              Placement::per_node(arch::cte_arm().node, 2));
+  sim::Time done = -1;
+  world.run([&](Rank& r) -> sim::Task<> {
+    if (r.id() == 0) {
+      co_await r.sendrecv(1, 8 << 20, 1);
+      done = r.world().engine().now();
+    } else {
+      co_await r.sendrecv(0, 8, 0);
+    }
+  });
+  const std::vector<trace::Span> spans = message_spans(world, 0);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "send");
+  EXPECT_EQ(spans[1].name, "recv");
+  EXPECT_LT(spans[1].end, spans[0].end);
+  EXPECT_EQ(done, spans[0].end);
+}
+
+TEST(P2P, BadThirdNeighbourThrowsBeforeAnyDeposit) {
+  World world(traced_options(),
+              Placement::per_node(arch::cte_arm().node, 4));
+  const std::vector<int> neighbours{1, 2, 99};
+  EXPECT_THROW(world.run([&](Rank& r) -> sim::Task<> {
+                 if (r.id() == 0) co_await r.exchange(neighbours, 64);
+               }),
+               ContractError);
+  EXPECT_TRUE(world.recorder()->spans().empty());
+}
+
+TEST(P2P, RingExchangeEventCountIsPinned) {
+  // 384 ranks, 10 steps of ring exchange + allreduce(8). Every message
+  // path makes the same engine calls as the nested-coroutine version it
+  // replaced, so the dispatched event count is the one measured there.
+  WorldOptions options;
+  options.machine = arch::cte_arm();
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, 384));
+  world.run([](Rank& rank) -> sim::Task<> {
+    const int n = rank.size();
+    const std::vector<int> ring{(rank.id() + n - 1) % n, (rank.id() + 1) % n};
+    for (int step = 0; step < 10; ++step) {
+      co_await rank.exchange(ring, 4096, /*tag=*/1);
+      co_await rank.allreduce(8);
+    }
+  });
+  EXPECT_EQ(world.engine().events_processed(), 44998u);
 }
 
 }  // namespace
