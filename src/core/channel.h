@@ -4,7 +4,11 @@
 // above, not by backpressure here); `pop` suspends the caller until a value
 // is available. A push with receivers waiting hands the value directly to
 // the oldest waiter, so a later receiver can never steal an item from an
-// earlier one — wakeup order is FIFO and deterministic.
+// earlier one — wakeup order is FIFO and deterministic. The hand-off is
+// one engine event, at the latest of the push time, the value's
+// `ready_at` (when it becomes usable, e.g. a message's arrival) and the
+// waiter's `not_before`. By default `ready_at` is the push time and
+// `not_before` is 0, i.e. a +0 wake.
 //
 // The simulated-MPI layer keeps one channel per (destination, source, tag),
 // contiguously per destination, and most of them are short or idle. So the
@@ -19,6 +23,7 @@
 // hand-off reaches the waiter through the waiter record, not the channel.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +84,8 @@ class Channel {
     /// If set, the hand-off event calls this instead of resuming `handle`.
     void (*wake)(Waiter&) = nullptr;
     Waiter* next = nullptr;  ///< intrusive FIFO link (owned by the channel)
+    /// The hand-off event never fires before this simulated time.
+    Time not_before = 0;
     std::optional<T> value;  ///< filled by the hand-off or try_receive
   };
 
@@ -105,7 +112,12 @@ class Channel {
 
   /// Deliver a value; hands it to the oldest waiting receiver (woken at
   /// the current simulated time by one +0 event) or queues it.
-  void push(T value) {
+  void push(T value) { push(std::move(value), engine_->now()); }
+
+  /// As push(value), but a hand-off wakes the receiver by one event at
+  /// max(now, ready_at, waiter.not_before) instead of at +0. A queued
+  /// value does not keep `ready_at`: the receiver reads it off the value.
+  void push(T value, Time ready_at) {
     if (last_waiter_ != nullptr) {
       Waiter* waiter = last_waiter_->next;  // the ring's oldest entry
       if (waiter == last_waiter_) {
@@ -123,7 +135,8 @@ class Channel {
       };
       static_assert(Engine::Callback::fits_inline<decltype(wake)>,
                     "core must never schedule a spilling closure");
-      engine_->schedule_in(0, std::move(wake));
+      const Time at = std::max({engine_->now(), ready_at, waiter->not_before});
+      engine_->schedule_at(at, std::move(wake));
       return;
     }
     if (count_ < 2) {

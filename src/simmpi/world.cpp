@@ -214,7 +214,7 @@ Rank::DepositResult Rank::deposit(int dst, std::uint64_t bytes, int tag) {
       sender_done = now + sim::from_seconds(inject);
     }
   }
-  world_->mailbox(dst, id_, tag).push(Message{bytes, arrival});
+  world_->mailbox(dst, id_, tag).push(Message{bytes, arrival}, arrival);
   world_->record(id_, now, sender_done, "send", "", bytes, dst);
   return {arrival, sender_done};
 }
@@ -247,7 +247,7 @@ bool P2P::await_ready() {
   for (int i = 0; i < num_srcs_; ++i) {
     CTESIM_EXPECTS(src(i) >= 0 && src(i) < rank_->size());
   }
-  latest_send_ = rank_->world_->engine_.now();
+  recv_start_ = latest_send_ = rank_->world_->engine_.now();
   for (int i = 0; i < num_dsts_; ++i) {
     const Rank::DepositResult d = rank_->deposit(dst(i), bytes_, tag_);
     latest_send_ = std::max(latest_send_, d.sender_done);
@@ -258,39 +258,35 @@ bool P2P::await_ready() {
 bool P2P::receive_next() {
   World& world = *rank_->world_;
   while (next_src_ < num_srcs_) {
-    recv_start_ = world.engine_.now();
+    not_before = recv_start_;
     if (!world.mailbox(rank_->id_, src(next_src_), tag_).try_receive(*this)) {
-      return false;  // the hand-off calls on_handoff
+      return false;  // the hand-off calls on_handoff, at >= the cursor
     }
-    if (!arrived()) return false;
+    received();
   }
-  return settle();
+  return finish();
+}
+
+void P2P::received() {
+  const sim::Time end = std::max(recv_start_, value->arrival);
+  rank_->world_->record(rank_->id_, recv_start_, end, "recv", "",
+                        value->bytes, src(next_src_));
+  recv_start_ = end;
+  ++next_src_;
 }
 
 void P2P::on_handoff(sim::Channel<Message>::Waiter& waiter) {
-  static_cast<P2P&>(waiter).resume_receiving();
+  // Fired at max(cursor, arrival): the end of this source's recv span.
+  P2P& p2p = static_cast<P2P&>(waiter);
+  p2p.received();
+  if (p2p.receive_next()) p2p.handle.resume();
 }
 
-void P2P::resume_receiving() {
-  if (arrived() && receive_next()) handle.resume();
-}
-
-bool P2P::arrived() {
-  World& world = *rank_->world_;
-  if (value->arrival > world.engine_.now()) {
-    world.engine_.schedule_at(value->arrival, [this] { resume_receiving(); });
-    return false;
-  }
-  world.record(rank_->id_, recv_start_, world.engine_.now(), "recv", "",
-               value->bytes, src(next_src_));
-  ++next_src_;
-  return true;
-}
-
-bool P2P::settle() {
+bool P2P::finish() {
   sim::Engine& engine = rank_->world_->engine_;
-  if (latest_send_ > engine.now()) {
-    engine.schedule_at(latest_send_, [this] { handle.resume(); });
+  const sim::Time done = std::max(recv_start_, latest_send_);
+  if (done > engine.now()) {
+    engine.schedule_at(done, [this] { handle.resume(); });
     return false;
   }
   return true;

@@ -176,9 +176,11 @@ class World {
   std::vector<std::unique_ptr<Rank>> ranks_;
   /// One destination's mailboxes: its (src, tag) keys and their channels,
   /// parallel arrays in first-touch order (deterministic). The keys are
-  /// scanned linearly: no workload gives a rank more than a few dozen.
-  /// Channels may move when the array grows; nothing holds a Channel&
-  /// across a suspension.
+  /// scanned linearly. A NEMO rank has a few dozen (halo neighbours plus
+  /// collective partners); the widest, OpenIFS's multi-node alltoall,
+  /// gives each of up to 192 actors p - 1 sources. A per-destination hash
+  /// measured no faster (docs/ENGINE.md section 7). Channels may move
+  /// when the array grows; nothing holds a Channel& across a suspension.
   struct Mailboxes {
     std::vector<std::uint64_t> keys;
     std::vector<sim::Channel<Message>> channels;
@@ -197,22 +199,29 @@ class World {
 };
 
 /// The awaiter behind every point-to-point call (Rank::send, recv,
-/// sendrecv and exchange). It deposits every outgoing message, receives
-/// from each source in order, waiting for each arrival, then settles the
-/// latest sender-side occupancy. `co_await` yields the byte count of the
-/// last message received (0 for a plain send).
+/// sendrecv and exchange). It deposits every outgoing message, then
+/// receives from each source in order and resumes the caller once, at
+/// the later of its last recv span's end and its latest sender-side
+/// occupancy. `co_await` yields the byte count of the last message
+/// received (0 for a plain send).
+///
+/// The receives run on a simulated cursor, `recv_start_`, that starts at
+/// the call's time and may run ahead of the engine clock: each source's
+/// recv span is [cursor, max(cursor, arrival)], and the cursor then moves
+/// to its end. A message already queued is consumed at once, with no
+/// event. A source whose message has not been deposited yet parks the
+/// awaiter with `not_before` = cursor, and the deposit's hand-off fires
+/// at max(cursor, arrival), the end of that span. So a call costs one
+/// engine event per source it had to wait for plus at most one final
+/// wake, and every span, simulated time and per-rank record order is
+/// what a receive that slept until each arrival would produce.
 ///
 /// A small state machine instead of nested sim::Tasks, so a call costs no
-/// coroutine frame. Each wait is one engine event: a channel hand-off
-/// arrives through the waiter's wake hook, every other wait is a
-/// schedule_at whose callback re-enters the machine. It makes the engine
-/// and trace calls the coroutine version made, in the same order.
-///
-/// Every source rank is validated in await_ready, before the first
-/// deposit, so a ContractError reaches the calling rank and never escapes
-/// an engine callback. Returned by value, so a single peer is stored
-/// inline (a span into the awaiter would dangle); an exchange's neighbor
-/// span must outlive the await.
+/// coroutine frame. Every source rank is validated in await_ready, before
+/// the first deposit, so a ContractError reaches the calling rank and
+/// never escapes an engine callback. Returned by value, so a single peer
+/// is stored inline (a span into the awaiter would dangle); an exchange's
+/// neighbor span must outlive the await.
 class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
  public:
   bool await_ready();
@@ -246,20 +255,20 @@ class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
   int src(int i) const { return peers_ ? peers_[i] : src_; }
 
   // The states after await_ready (the start). Each returns true when the
-  // call has finished, false once it has arranged to be re-entered by an
-  // engine event.
+  // call has finished, false once an engine event will re-enter it.
   bool receive_next();
-  bool arrived();
-  bool settle();
-  /// Engine-event entry: a matched message, then the rest of the call;
-  /// resumes the caller once it has finished.
-  void resume_receiving();
+  bool finish();
+  /// Records the recv span of the message in `value` and advances the
+  /// cursor past it.
+  void received();
+  /// Engine-event entry: a hand-off at the end of its recv span, then the
+  /// rest of the call; resumes the caller if that has finished.
   static void on_handoff(sim::Channel<Message>::Waiter& waiter);
 
   Rank* rank_;
   const int* peers_ = nullptr;  ///< exchange: destinations and sources
   std::uint64_t bytes_;
-  sim::Time recv_start_ = 0;
+  sim::Time recv_start_ = 0;  ///< receive cursor: the next span's start
   sim::Time latest_send_ = 0;
   int tag_;
   int dst_ = 0;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "core/channel.h"
 #include "core/engine.h"
 #include "core/task.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace ctesim::sim {
@@ -284,11 +286,72 @@ TEST(Channel, WaitersWakeInArrivalOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+Task<> timed_consumer(Engine& engine, Channel<int>& ch, int* got,
+                      Time* woke) {
+  *got = co_await ch.pop();
+  *woke = engine.now();
+}
+
+TEST(Channel, HandOffFiresOnceAtReadyAt) {
+  // A parked pop() gets a value pushed at t = 100 that is usable only at
+  // t = 350: one hand-off event at 350, not a +0 wake and a second sleep.
+  Engine engine;
+  Channel<int> ch(engine);
+  int got = 0;
+  Time woke = -1;
+  engine.spawn(timed_consumer(engine, ch, &got, &woke));
+  engine.schedule_in(100, [&] { ch.push(7, engine.now() + 250); });
+  engine.run();
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(woke, 350);
+  EXPECT_EQ(engine.events_processed(), 3u);  // spawn, push, hand-off
+}
+
+TEST(Channel, DefaultReadyAtWakesAtPushTime) {
+  Engine engine;
+  Channel<int> ch(engine);
+  int got = 0;
+  Time woke = -1;
+  engine.spawn(timed_consumer(engine, ch, &got, &woke));
+  engine.schedule_in(100, [&] { ch.push(8); });
+  engine.run();
+  EXPECT_EQ(got, 8);
+  EXPECT_EQ(woke, 100);
+  EXPECT_EQ(engine.events_processed(), 3u);
+}
+
+TEST(Channel, ReadyAtInThePastStillWakesAtPushTime) {
+  Engine engine;
+  Channel<int> ch(engine);
+  int got = 0;
+  Time woke = -1;
+  engine.spawn(timed_consumer(engine, ch, &got, &woke));
+  engine.schedule_in(100, [&] { ch.push(9, 40); });
+  engine.run();
+  EXPECT_EQ(got, 9);
+  EXPECT_EQ(woke, 100);
+}
+
 TEST(Time, SecondConversionRoundTrips) {
   EXPECT_EQ(from_seconds(1.0), kSecond);
   EXPECT_EQ(from_seconds(1e-6), kMicrosecond);
   EXPECT_DOUBLE_EQ(to_seconds(kMillisecond), 1e-3);
   EXPECT_EQ(from_seconds(to_seconds(123456789)), 123456789);
+}
+
+TEST(Time, FromSecondsRejectsWhatTheClockCannotHold) {
+  // The clock is int64 picoseconds: about +-106.75 days.
+  EXPECT_EQ(from_seconds(9.2e6), 9'200'000 * kSecond);
+  EXPECT_EQ(from_seconds(-9.2e6), -9'200'000 * kSecond);
+  EXPECT_THROW(from_seconds(9.3e6), ContractError);
+  EXPECT_THROW(from_seconds(-9.3e6), ContractError);
+  EXPECT_THROW(from_seconds(1e20), ContractError);
+  EXPECT_THROW(from_seconds(std::numeric_limits<double>::infinity()),
+               ContractError);
+  EXPECT_THROW(from_seconds(-std::numeric_limits<double>::infinity()),
+               ContractError);
+  EXPECT_THROW(from_seconds(std::numeric_limits<double>::quiet_NaN()),
+               ContractError);
 }
 
 }  // namespace

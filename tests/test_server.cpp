@@ -224,6 +224,21 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors) {
   service.shutdown();
 }
 
+TEST(Service, ArrivalsBeyondTheSimulatedClockGetAnErrorReply) {
+  // Five arrivals about 1e8 s apart lie far beyond the int64-picosecond
+  // clock (~106 days). Converting them used to be undefined behaviour;
+  // now sim::from_seconds refuses them and the request gets an error.
+  Service service(small_config());
+  const std::string reply =
+      service.handle(simulate_line(5, 1, ",\"mean_interarrival_s\":1e8"));
+  EXPECT_NE(reply.find("\"op\":\"error\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("from_seconds"), std::string::npos) << reply;
+  // The service keeps serving.
+  EXPECT_NE(service.handle(simulate_line(5, 1)).find("\"status\":\"ok\""),
+            std::string::npos);
+  service.shutdown();
+}
+
 TEST(Service, OversizedRequestIsRejectedUnparsed) {
   ServiceConfig config = small_config();
   config.max_request_bytes = 64;
