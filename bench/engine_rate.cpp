@@ -15,6 +15,9 @@
 //     dominates the cluster benchmarks, and how it grows with machine size.
 //   - BM_MailboxPingPong (384 and 9216 ranks) times the simulated-MPI
 //     layer: message matching through World's mailboxes, in messages/sec.
+//   - BM_Collective times the scheduled collectives alone: allreduce(8) at
+//     384 and 9216 ranks and OpenIFS's alltoall over 192 one-per-node
+//     actors, in the messages/sec their algorithms stand for.
 //   - Cluster benchmarks (BM_ClusterEngine, BM_ClusterEnginePower) run the
 //     canonical 192-node CTE-Arm batch study end to end. They report both
 //     events/sec from ClusterResult::engine_events (raw engine dispatches —
@@ -39,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/openifs.h"
 #include "arch/configs.h"
 #include "batch/cluster.h"
 #include "batch/workload.h"
@@ -471,6 +475,80 @@ BENCHMARK(BM_MailboxPingPong)->Arg(384)->Iterations(10)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_MailboxPingPong)->Arg(9216)->Iterations(3)->Unit(
     benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Scheduled collectives: BM_Collective runs a zero-compute World whose ranks
+// only call one collective back to back, as many times as make ~300k of
+// the algorithm's messages (recursive doubling with fold/unfold for
+// allreduce, p(p-1) pairwise messages for alltoall). Without congestion
+// none of them is sent: each call parks every rank and evaluates the
+// rounds once (docs/ENGINE.md section 9). events_per_s counts those
+// messages, so the figure compares with BM_MailboxPingPong's.
+// ---------------------------------------------------------------------------
+enum class CollectiveKind { kAllreduce, kAlltoall };
+
+void BM_Collective(benchmark::State& state, CollectiveKind kind) {
+  const int nranks = static_cast<int>(state.range(0));
+  const arch::MachineModel machine = arch::cte_arm();
+  double messages_per_call;
+  std::uint64_t bytes;
+  mpi::Placement placement =
+      mpi::Placement::per_core(machine.node, nranks);
+  if (kind == CollectiveKind::kAllreduce) {
+    int p2 = 1;
+    int rounds = 0;
+    while (p2 * 2 <= nranks) {
+      p2 *= 2;
+      ++rounds;
+    }
+    messages_per_call =
+        2.0 * (nranks - p2) + static_cast<double>(p2) * rounds;
+    bytes = 8;
+  } else {
+    // OpenIFS TCo511L91's per-pair transposition size at one actor per
+    // node (ctebench's OpenIFS alltoall run uses the same).
+    const apps::OpenIfsConfig config;
+    const apps::OpenIfsInput input = apps::tc0511l91();
+    const double cells_local = input.columns * input.levels / nranks;
+    bytes = static_cast<std::uint64_t>(std::max(
+        1.0, cells_local * 8.0 * config.transposed_fields / nranks));
+    messages_per_call = static_cast<double>(nranks) * (nranks - 1);
+    placement = mpi::Placement::hybrid(machine.node, nranks, 1,
+                                       machine.node.core_count());
+  }
+  const int calls = std::max(
+      1, static_cast<int>(kPingPongMessagesPerRun / messages_per_call));
+  for (auto _ : state) {
+    mpi::WorldOptions options;
+    options.machine = machine;
+    mpi::World world(std::move(options), placement);
+    world.run([kind, calls, bytes](mpi::Rank& rank) -> sim::Task<> {
+      for (int i = 0; i < calls; ++i) {
+        if (kind == CollectiveKind::kAllreduce) {
+          co_await rank.allreduce(bytes);
+        } else {
+          co_await rank.alltoall(bytes);
+        }
+      }
+    });
+    benchmark::DoNotOptimize(world.engine().events_processed());
+  }
+  const double messages_per_run = messages_per_call * calls;
+  state.counters["events_per_s"] = benchmark::Counter(
+      messages_per_run * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["events_per_run"] = benchmark::Counter(messages_per_run);
+}
+
+BENCHMARK_CAPTURE(BM_Collective, allreduce, CollectiveKind::kAllreduce)
+    ->Arg(384)
+    ->Arg(9216)
+    ->Iterations(10)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Collective, alltoall, CollectiveKind::kAlltoall)
+    ->Arg(192)
+    ->Iterations(10)
+    ->Unit(benchmark::kMillisecond);
 
 /// Console output plus a captured copy of every run for the JSON summary.
 class CaptureReporter : public benchmark::ConsoleReporter {

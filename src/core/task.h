@@ -3,7 +3,7 @@
 // Task<T> is a lazy coroutine: creating it does nothing; it starts when
 // awaited (symmetric transfer) or when spawned onto an Engine. A finished
 // task resumes its awaiter, so `co_await subroutine()` composes naturally —
-// exactly how simulated MPI collectives are built from point-to-point calls.
+// exactly how the rooted simulated-MPI collectives use point-to-point.
 //
 // COMPILER CONSTRAINT (GCC 12): arguments passed to a coroutine invoked
 // inside a `co_await` expression must be trivially destructible or named

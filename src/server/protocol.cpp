@@ -6,6 +6,7 @@
 #include "power/power_model.h"
 #include "util/hash.h"
 #include "util/json.h"
+#include "util/time.h"
 
 namespace ctesim::server {
 
@@ -46,7 +47,20 @@ double require_range(const json::Value& v, const std::string& field,
   return d;
 }
 
+/// Share of the simulated clock's range (int64 picoseconds, 2^63 ps or
+/// about 106.75 days) that a workload's expected span may fill. The span
+/// is the mean arrival span plus the longest wall time one job can ask
+/// for, jobs x mean_interarrival_s + max_runtime_s x walltime_pad_max.
+/// The rest of the range absorbs exponential arrival tails and queueing:
+/// the sum of n exponential gaps passes 4x its mean with probability
+/// e^-4 (1.8%) at n = 1 and far less for more jobs. A run that still
+/// passes the end of the clock gets sim::from_seconds' error reply.
+constexpr double kClockShare = 0.25;
+constexpr double kClockRangeS = 0x1p63 / static_cast<double>(sim::kSecond);
+
 }  // namespace
+
+double workload_span_limit_s() { return kClockShare * kClockRangeS; }
 
 Request parse_request(const std::string& line) {
   json::Value doc;
@@ -187,6 +201,16 @@ Request parse_request(const std::string& line) {
   }
   if (w.walltime_pad_max < w.walltime_pad_min) {
     bad("walltime_pad_max must be >= walltime_pad_min");
+  }
+  const double span_s = static_cast<double>(w.num_jobs) *
+                            w.mean_interarrival_s +
+                        w.max_runtime_s * w.walltime_pad_max;
+  if (span_s > workload_span_limit_s()) {
+    std::ostringstream os;
+    os << "jobs x mean_interarrival_s + max_runtime_s x walltime_pad_max = "
+       << span_s << " s exceeds " << workload_span_limit_s()
+       << " s (" << kClockShare << " of the simulated clock's range)";
+    bad(os.str());
   }
   if (!spec.machine_ini.empty() && doc.find("machine")) {
     bad("give either 'machine' or 'machine_ini', not both");

@@ -81,6 +81,12 @@ class ProtocolError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// Largest expected span, in simulated seconds, of a simulate request's
+/// workload: jobs x mean_interarrival_s + max_runtime_s x walltime_pad_max
+/// beyond it is a bad request (a fixed share of the int64-picosecond
+/// clock's range; see protocol.cpp).
+double workload_span_limit_s();
+
 /// Parse and validate one request line. Throws ProtocolError on anything
 /// other than a well-formed request: bad JSON, a non-object document, an
 /// unknown op, unknown or wrongly-typed fields, out-of-range values.

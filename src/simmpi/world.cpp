@@ -31,17 +31,260 @@ int coll_tag(const Group& group, CollOp op) {
   return kCollTagBase + group.context() * kOpsPerContext + op;
 }
 
-int highest_power_of_two_le(int n) {
-  int p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
-}
+/// One rank's part of one round: at most one send and one receive, both
+/// in one point-to-point call. Peers are vranks, -1 for none; `bytes` is
+/// what the rank sends.
+struct Step {
+  int dst = -1;
+  int src = -1;
+  std::uint64_t bytes = 0;
+};
+
+/// An unrooted collective algorithm as rounds of messages matched within
+/// the round: whoever a rank receives from in round k sends to it in
+/// round k. Rank::collective sends the rounds as point-to-point calls;
+/// World::Collectives::evaluate computes the same spans arithmetically.
+class Rounds {
+ public:
+  Rounds(CollOp op, int p, std::uint64_t bytes,
+         std::uint64_t ring_threshold)
+      : p_(p) {
+    switch (op) {
+      case kOpBarrier:  // dissemination: distances 1, 2, 4, ... < p
+        pattern_ = Pattern::kDissemination;
+        for (int k = 1; k < p; k <<= 1) ++count_;
+        break;
+      case kOpAllreduce:
+        if (bytes > ring_threshold && p > 2) {
+          // Bandwidth-optimal ring: reduce-scatter then allgather, 2(p-1)
+          // steps of bytes/p each.
+          pattern_ = Pattern::kRingChunks;
+          count_ = 2 * (p - 1);
+        } else {
+          // Rabenseifner-style fold to a power of two p2, recursive
+          // doubling, unfold.
+          pattern_ = Pattern::kFoldDoubling;
+          int p2 = 1;
+          while (p2 * 2 <= p) {
+            p2 *= 2;
+            ++count_;
+          }
+          rem_ = p - p2;
+          if (rem_ > 0) count_ += 2;
+        }
+        break;
+      case kOpAllgather:  // ring
+        pattern_ = Pattern::kRing;
+        count_ = p - 1;
+        break;
+      case kOpAlltoall:  // pairwise exchange at distance 1 .. p-1
+        pattern_ = Pattern::kPairwise;
+        count_ = p - 1;
+        break;
+      default:
+        CTESIM_EXPECTS(op == kOpReduceScatter);  // rooted ones have none
+        if ((p & (p - 1)) == 0) {
+          // Pairwise halving: log2(p) rounds, each exchanging half the
+          // remaining buffer.
+          pattern_ = Pattern::kHalving;
+          for (int k = 1; k < p; k <<= 1) ++count_;
+        } else {
+          pattern_ = Pattern::kRingChunks;  // a ring of chunks
+          count_ = p - 1;
+        }
+        break;
+    }
+  }
+
+  int count() const { return count_; }
+  /// True when every rank would build the same rounds (same pattern).
+  bool same_as(const Rounds& other) const {
+    return pattern_ == other.pattern_ && count_ == other.count_;
+  }
+
+  /// Rank `me`'s part of round `k`, sending from a buffer of `bytes`.
+  Step step(int me, int k, std::uint64_t bytes) const {
+    const int right = me + 1 == p_ ? 0 : me + 1;
+    const int left = me == 0 ? p_ - 1 : me - 1;
+    switch (pattern_) {
+      case Pattern::kDissemination: {
+        const int d = 1 << k;
+        return {(me + d) % p_, (me - d + p_) % p_, 1};
+      }
+      case Pattern::kRing:
+        return {right, left, bytes};
+      case Pattern::kRingChunks:
+        return {right, left,
+                std::max<std::uint64_t>(
+                    1, bytes / static_cast<std::uint64_t>(p_))};
+      case Pattern::kPairwise:
+        return {(me + k + 1) % p_, (me - k - 1 + p_) % p_, bytes};
+      case Pattern::kHalving: {
+        const int peer = me ^ (p_ >> (k + 1));
+        return {peer, peer, std::max<std::uint64_t>(1, bytes >> (k + 1))};
+      }
+      case Pattern::kFoldDoubling:
+        break;
+    }
+    const bool folded = me < 2 * rem_;
+    if (rem_ > 0 && (k == 0 || k == count_ - 1)) {
+      // Fold (round 0): each even rank below 2 * rem sends to the odd one
+      // above it. Unfold (last round): the odd one sends back.
+      if (!folded) return {};
+      const bool odd = me % 2 == 1;
+      const int peer = odd ? me - 1 : me + 1;
+      if ((k == 0) != odd) return {peer, -1, bytes};
+      return {-1, peer, 0};
+    }
+    if (folded && me % 2 == 0) return {};  // folded away while doubling
+    const int newrank = folded ? me / 2 : me - rem_;
+    const int mask = 1 << (rem_ > 0 ? k - 1 : k);
+    const int partner_new = newrank ^ mask;
+    const int partner =
+        partner_new < rem_ ? partner_new * 2 + 1 : partner_new + rem_;
+    return {partner, partner, bytes};
+  }
+
+ private:
+  enum class Pattern {
+    kDissemination,
+    kRing,
+    kRingChunks,
+    kPairwise,
+    kHalving,
+    kFoldDoubling
+  };
+  Pattern pattern_ = Pattern::kRing;
+  int p_;
+  int rem_ = 0;  ///< fold/doubling: ranks above the largest power of two
+  int count_ = 0;
+};
 
 sim::Task<> run_rank(World::RankFn body, Rank* rank) {
   co_await body(*rank);
 }
 
 }  // namespace
+
+/// Every rank of a scheduled collective parks in `enter` with no event and
+/// no message. The last one in evaluates the rounds as a max-plus
+/// recurrence over (time, span) and schedules one wake per rank at its
+/// exit time. That is exact because, without congestion, a message's
+/// timing depends only on (src, dst, bytes, send time) and every rank's
+/// exit depends on every rank's entry (docs/ENGINE.md section 9).
+struct World::Collectives {
+  /// One (group context, op)'s call in progress, indexed by vrank.
+  struct Pending {
+    std::vector<sim::Time> entry;
+    std::vector<std::uint64_t> bytes;
+    std::vector<std::coroutine_handle<>> parked;
+    std::optional<Rounds> rounds;  ///< the first entrant's algorithm
+    int entered = 0;
+  };
+
+  /// The awaiter a rank parks on.
+  struct Entry {
+    World* world;
+    const Group* group;
+    const Rounds* rounds;
+    CollOp op;
+    int vrank;
+    std::uint64_t bytes;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      world->collectives_->enter(*world, *this, h);
+    }
+    void await_resume() const noexcept {}
+  };
+  // A co_await temporary: core/task.h's GCC 12 constraint.
+  static_assert(std::is_trivially_destructible_v<Entry>);
+
+  void enter(World& world, const Entry& entry, std::coroutine_handle<> h);
+  void evaluate(World& world, const Group& group, Pending& call);
+
+  std::vector<Pending> pending;  ///< by context * kOpsPerContext + op
+  // Evaluator scratch, by vrank.
+  std::vector<sim::Time> time;  ///< each rank's time entering the round
+  std::vector<sim::Time> next;
+  std::vector<sim::Time> arrival;  ///< of the message it sent this round
+  std::vector<std::uint64_t> sent;
+  std::vector<int> src;
+};
+
+void World::Collectives::enter(World& world, const Entry& entry,
+                               std::coroutine_handle<> h) {
+  const std::size_t slot = static_cast<std::size_t>(
+      entry.group->context() * kOpsPerContext + entry.op);
+  if (pending.size() <= slot) pending.resize(slot + 1);
+  Pending& call = pending[slot];
+  const int p = entry.group->size();
+  if (call.entered == 0) {
+    const auto n = static_cast<std::size_t>(p);
+    call.entry.resize(n);
+    call.bytes.resize(n);
+    call.parked.resize(n);
+    call.rounds = *entry.rounds;
+  }
+  // Every rank must run the same algorithm, as the message path needs.
+  CTESIM_EXPECTS(call.rounds->same_as(*entry.rounds));
+  const auto v = static_cast<std::size_t>(entry.vrank);
+  call.entry[v] = world.engine_.now();
+  call.bytes[v] = entry.bytes;
+  call.parked[v] = h;
+  if (++call.entered < p) return;
+  call.entered = 0;
+  evaluate(world, *entry.group, call);
+}
+
+void World::Collectives::evaluate(World& world, const Group& group,
+                                  Pending& call) {
+  // Round k, rank v at time[v] (what P2P computes for the same call): its
+  // send is deposited at time[v]; its recv span from `src` is
+  // [time[v], max(time[v], arrival of src's round-k message)]; it leaves
+  // the round at the latest of that span's end and its send's
+  // sender-side completion. Spans are recorded round by round, each
+  // rank's send before its recv, which is each rank's own P2P order.
+  const int p = group.size();
+  const auto n = static_cast<std::size_t>(p);
+  const Rounds& rounds = *call.rounds;
+  time.assign(call.entry.begin(), call.entry.end());
+  next.resize(n);
+  arrival.resize(n);
+  sent.resize(n);
+  src.resize(n);
+  for (int k = 0; k < rounds.count(); ++k) {
+    for (std::size_t v = 0; v < n; ++v) {
+      const Step step = rounds.step(static_cast<int>(v), k, call.bytes[v]);
+      src[v] = step.src;
+      next[v] = time[v];
+      if (step.dst < 0) continue;
+      const int me = group.global(static_cast<int>(v));
+      const int to = group.global(step.dst);
+      const Delivery d = world.delivery(me, to, step.bytes, time[v]);
+      world.record(me, time[v], d.sender_done, "send", "", step.bytes, to);
+      arrival[v] = d.arrival;
+      sent[v] = step.bytes;
+      next[v] = std::max(next[v], d.sender_done);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      if (src[v] < 0) continue;
+      const auto from = static_cast<std::size_t>(src[v]);
+      const sim::Time end = std::max(time[v], arrival[from]);
+      world.record(group.global(static_cast<int>(v)), time[v], end, "recv",
+                   "", sent[from], group.global(src[v]));
+      next[v] = std::max(next[v], end);
+    }
+    time.swap(next);
+  }
+  // Every exit is at or after the last entry (now): each rank's exit
+  // depends on every rank's entry. Ties resume in vrank order.
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::coroutine_handle<> h = call.parked[v];
+    auto resume = [h] { h.resume(); };
+    world.engine_.schedule_at(time[v], std::move(resume));
+  }
+}
 
 Group::Group(std::vector<int> members, int context)
     : members_(std::move(members)), context_(context) {
@@ -60,7 +303,8 @@ World::World(WorldOptions options, Placement placement)
                std::max(options_.machine.num_nodes, placement_.nodes_used())),
       exec_(options_.machine.node,
             options_.compiler.value_or(
-                arch::default_app_compiler(options_.machine))) {
+                arch::default_app_compiler(options_.machine))),
+      collectives_(std::make_unique<Collectives>()) {
   CTESIM_EXPECTS(placement_.nodes_used() <= options_.machine.num_nodes);
   network_.set_jitter(options_.network_jitter);
   const int n = placement_.num_ranks();
@@ -178,45 +422,45 @@ std::vector<std::string> World::phase_names() const {
   return names;
 }
 
-// --------------------------------------------------------------- Rank ----
-
-Rank::DepositResult Rank::deposit(int dst, std::uint64_t bytes, int tag) {
-  CTESIM_EXPECTS(dst >= 0 && dst < size());
-  const sim::Time now = world_->engine_.now();
-  const int src_node = node();
-  const int dst_node = world_->placement_.node_of(dst);
-  sim::Time arrival;
-  sim::Time sender_done;
+World::Delivery World::delivery(int src, int dst, std::uint64_t bytes,
+                                sim::Time now) {
+  const int src_node = placement_.node_of(src);
+  const int dst_node = placement_.node_of(dst);
   if (src_node == dst_node) {
-    const arch::NodeModel& nm = world_->machine().node;
+    const arch::NodeModel& nm = machine().node;
     CTESIM_EXPECTS(nm.shm_bw > 0.0);
     const double t =
         nm.shm_latency + static_cast<double>(bytes) / nm.shm_bw;
-    arrival = now + sim::from_seconds(t);
+    const sim::Time arrival = now + sim::from_seconds(t);
     // The copy occupies the sender too (shared-memory transport).
-    sender_done = arrival;
-  } else {
-    const auto transfer = world_->network_.transfer(src_node, dst_node, bytes,
-                                                    sim::to_seconds(now));
-    arrival = world_->congestion_
-                  ? world_->congestion_->transfer_at(src_node, dst_node,
-                                                     bytes, now)
-                  : now + sim::from_seconds(transfer.time_s);
-    if (transfer.rendezvous) {
-      // Large message: sender stays coupled until delivery completes.
-      sender_done = arrival;
-    } else {
-      // Eager: sender pays injection overhead + wire occupancy only.
-      const auto& spec = world_->network_.spec();
-      const double inject =
-          0.5 * spec.base_latency_s +
-          static_cast<double>(bytes) / (spec.link_bw * spec.eff_bw_factor);
-      sender_done = now + sim::from_seconds(inject);
-    }
+    return {arrival, arrival};
   }
-  world_->mailbox(dst, id_, tag).push(Message{bytes, arrival}, arrival);
-  world_->record(id_, now, sender_done, "send", "", bytes, dst);
-  return {arrival, sender_done};
+  const auto transfer =
+      network_.transfer(src_node, dst_node, bytes, sim::to_seconds(now));
+  const sim::Time arrival =
+      congestion_ ? congestion_->transfer_at(src_node, dst_node, bytes, now)
+                  : now + sim::from_seconds(transfer.time_s);
+  if (transfer.rendezvous) {
+    // Large message: sender stays coupled until delivery completes.
+    return {arrival, arrival};
+  }
+  // Eager: sender pays injection overhead + wire occupancy only.
+  const auto& spec = network_.spec();
+  const double inject =
+      0.5 * spec.base_latency_s +
+      static_cast<double>(bytes) / (spec.link_bw * spec.eff_bw_factor);
+  return {arrival, now + sim::from_seconds(inject)};
+}
+
+// --------------------------------------------------------------- Rank ----
+
+World::Delivery Rank::deposit(int dst, std::uint64_t bytes, int tag) {
+  CTESIM_EXPECTS(dst >= 0 && dst < size());
+  const sim::Time now = world_->engine_.now();
+  const World::Delivery d = world_->delivery(id_, dst, bytes, now);
+  world_->mailbox(dst, id_, tag).push(Message{bytes, d.arrival}, d.arrival);
+  world_->record(id_, now, d.sender_done, "send", "", bytes, dst);
+  return d;
 }
 
 P2P Rank::send(int dst, std::uint64_t bytes, int tag) {
@@ -237,7 +481,7 @@ P2P Rank::exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
 }
 
 Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
-  const DepositResult d = deposit(dst, bytes, tag);
+  const World::Delivery d = deposit(dst, bytes, tag);
   return Request{d.sender_done};
 }
 
@@ -249,7 +493,7 @@ bool P2P::await_ready() {
   }
   recv_start_ = latest_send_ = rank_->world_->engine_.now();
   for (int i = 0; i < num_dsts_; ++i) {
-    const Rank::DepositResult d = rank_->deposit(dst(i), bytes_, tag_);
+    const World::Delivery d = rank_->deposit(dst(i), bytes_, tag_);
     latest_send_ = std::max(latest_send_, d.sender_done);
   }
   return receive_next();
@@ -297,14 +541,35 @@ bool P2P::finish() {
 sim::Task<> Rank::barrier() { return barrier(world_->world_group()); }
 
 sim::Task<> Rank::barrier(const Group& group) {
-  const int p = group.size();
+  return collective(group, kOpBarrier, 1);
+}
+
+sim::Task<> Rank::collective(const Group& group, int op,
+                             std::uint64_t bytes) {
   const int me = group.vrank_of(id_);
   CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpBarrier);
-  for (int k = 1; k < p; k <<= 1) {
-    const int to = group.global((me + k) % p);
-    const int from = group.global((me - k % p + p) % p);
-    co_await sendrecv(to, 1, from, tag);
+  const auto coll_op = static_cast<CollOp>(op);
+  const Rounds rounds(coll_op, group.size(), bytes,
+                      world_->options_.allreduce_ring_threshold);
+  if (rounds.count() == 0) co_return;
+  if (!world_->congestion_) {
+    // CongestionModel::transfer_at books links in call order, so only a
+    // congestion-free World may compute the rounds ahead of the clock.
+    co_await World::Collectives::Entry{world_, &group, &rounds, coll_op, me,
+                                       bytes};
+    co_return;
+  }
+  const int tag = coll_tag(group, coll_op);
+  for (int k = 0; k < rounds.count(); ++k) {
+    const Step step = rounds.step(me, k, bytes);
+    if (step.dst >= 0 && step.src >= 0) {
+      co_await sendrecv(group.global(step.dst), step.bytes,
+                        group.global(step.src), tag);
+    } else if (step.dst >= 0) {
+      co_await send(group.global(step.dst), step.bytes, tag);
+    } else if (step.src >= 0) {
+      co_await recv(group.global(step.src), tag);
+    }
   }
 }
 
@@ -372,62 +637,7 @@ sim::Task<> Rank::allreduce(std::uint64_t bytes) {
 }
 
 sim::Task<> Rank::allreduce(const Group& group, std::uint64_t bytes) {
-  const int p = group.size();
-  if (p == 1) co_return;
-  if (bytes > world_->options_.allreduce_ring_threshold && p > 2) {
-    co_await ring_allreduce(group, bytes);
-    co_return;
-  }
-  // Rabenseifner-style fold to a power of two, recursive doubling, unfold.
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpAllreduce);
-  const int p2 = highest_power_of_two_le(p);
-  const int rem = p - p2;
-  int newrank;
-  if (me < 2 * rem) {
-    if (me % 2 == 0) {
-      co_await send(group.global(me + 1), bytes, tag);
-      newrank = -1;  // folded away for the doubling phase
-    } else {
-      co_await recv(group.global(me - 1), tag);
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-  if (newrank >= 0) {
-    for (int mask = 1; mask < p2; mask <<= 1) {
-      const int partner_new = newrank ^ mask;
-      const int partner =
-          partner_new < rem ? partner_new * 2 + 1 : partner_new + rem;
-      const int peer = group.global(partner);
-      co_await sendrecv(peer, bytes, peer, tag);
-    }
-  }
-  if (me < 2 * rem) {
-    if (me % 2 == 1) {
-      co_await send(group.global(me - 1), bytes, tag);
-    } else {
-      co_await recv(group.global(me + 1), tag);
-    }
-  }
-}
-
-sim::Task<> Rank::ring_allreduce(const Group& group, std::uint64_t bytes) {
-  // Bandwidth-optimal: reduce-scatter ring then allgather ring, 2(P-1)
-  // steps of bytes/P each.
-  const int p = group.size();
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpAllreduce);
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, bytes / static_cast<std::uint64_t>(p));
-  const int right = group.global((me + 1) % p);
-  const int left = group.global((me - 1 + p) % p);
-  for (int step = 0; step < 2 * (p - 1); ++step) {
-    co_await sendrecv(right, chunk, left, tag);
-  }
+  return collective(group, kOpAllreduce, bytes);
 }
 
 sim::Task<> Rank::allgather(std::uint64_t bytes_per_rank) {
@@ -436,16 +646,7 @@ sim::Task<> Rank::allgather(std::uint64_t bytes_per_rank) {
 
 sim::Task<> Rank::allgather(const Group& group,
                             std::uint64_t bytes_per_rank) {
-  const int p = group.size();
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpAllgather);
-  const int right = group.global((me + 1) % p);
-  const int left = group.global((me - 1 + p) % p);
-  for (int step = 0; step < p - 1; ++step) {
-    co_await sendrecv(right, bytes_per_rank, left, tag);
-  }
+  return collective(group, kOpAllgather, bytes_per_rank);
 }
 
 sim::Task<> Rank::alltoall(std::uint64_t bytes_per_pair) {
@@ -453,16 +654,7 @@ sim::Task<> Rank::alltoall(std::uint64_t bytes_per_pair) {
 }
 
 sim::Task<> Rank::alltoall(const Group& group, std::uint64_t bytes_per_pair) {
-  const int p = group.size();
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpAlltoall);
-  for (int i = 1; i < p; ++i) {
-    const int to = group.global((me + i) % p);
-    const int from = group.global((me - i + p) % p);
-    co_await sendrecv(to, bytes_per_pair, from, tag);
-  }
+  return collective(group, kOpAlltoall, bytes_per_pair);
 }
 
 sim::Task<> Rank::gather(int root, std::uint64_t bytes_per_rank) {
@@ -537,30 +729,7 @@ sim::Task<> Rank::reduce_scatter(std::uint64_t total_bytes) {
 
 sim::Task<> Rank::reduce_scatter(const Group& group,
                                  std::uint64_t total_bytes) {
-  // Pairwise halving: log2(P) rounds, each exchanging half the remaining
-  // buffer (power-of-two groups take the optimal path; others fall back to
-  // a ring of chunks).
-  const int p = group.size();
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpReduceScatter);
-  if ((p & (p - 1)) == 0) {
-    std::uint64_t bytes = total_bytes / 2;
-    for (int mask = p >> 1; mask > 0; mask >>= 1) {
-      const int peer = group.global(me ^ mask);
-      co_await sendrecv(peer, std::max<std::uint64_t>(1, bytes), peer, tag);
-      bytes /= 2;
-    }
-  } else {
-    const std::uint64_t chunk = std::max<std::uint64_t>(
-        1, total_bytes / static_cast<std::uint64_t>(p));
-    const int right = group.global((me + 1) % p);
-    const int left = group.global((me - 1 + p) % p);
-    for (int step = 0; step < p - 1; ++step) {
-      co_await sendrecv(right, chunk, left, tag);
-    }
-  }
+  return collective(group, kOpReduceScatter, total_bytes);
 }
 
 // -------------------------------------------------------------- compute --

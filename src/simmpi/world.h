@@ -1,7 +1,11 @@
 // Simulated MPI world: ranks as coroutine actors over the DES engine, with
 // point-to-point messaging timed by the network/node models and collective
 // operations implemented as the standard algorithms (binomial tree,
-// recursive doubling, ring, pairwise exchange) on top of point-to-point.
+// recursive doubling, ring, pairwise exchange). The rooted collectives
+// always run on point-to-point messages; allreduce, allgather, alltoall,
+// barrier and reduce_scatter do too when congestion is modelled, and are
+// otherwise evaluated as one max-plus schedule once the last rank enters
+// (docs/ENGINE.md section 9).
 //
 // A World is one-shot: construct, run(), read results. The simulation is
 // deterministic for a fixed (options, placement, body).
@@ -164,6 +168,15 @@ class World {
   friend class Rank;
   friend class P2P;
 
+  /// When a message sent at `now` arrives, and when its sender is free.
+  struct Delivery {
+    sim::Time arrival;
+    sim::Time sender_done;
+  };
+  /// The one timing formula of a message from rank `src` to `dst`, shared
+  /// by Rank::deposit and the collective schedules so that both round
+  /// alike. Without congestion it is a pure function of its arguments.
+  Delivery delivery(int src, int dst, std::uint64_t bytes, sim::Time now);
   sim::Channel<Message>& mailbox(int dst, int src, int tag);
   void record(int rank, sim::Time start, sim::Time end, const char* kind,
               const char* detail, std::uint64_t bytes, int peer);
@@ -176,11 +189,13 @@ class World {
   std::vector<std::unique_ptr<Rank>> ranks_;
   /// One destination's mailboxes: its (src, tag) keys and their channels,
   /// parallel arrays in first-touch order (deterministic). The keys are
-  /// scanned linearly. A NEMO rank has a few dozen (halo neighbours plus
-  /// collective partners); the widest, OpenIFS's multi-node alltoall,
-  /// gives each of up to 192 actors p - 1 sources. A per-destination hash
-  /// measured no faster (docs/ENGINE.md section 7). Channels may move
-  /// when the array grows; nothing holds a Channel& across a suspension.
+  /// scanned linearly. Scheduled collectives send no message, so a NEMO
+  /// rank has only its halo neighbours (at most 4); rooted collectives,
+  /// user messages and congested Worlds, whose collectives are messages
+  /// (the widest: OpenIFS's alltoall gives each of up to 192 actors p - 1
+  /// sources), add more. A per-destination hash measured no faster
+  /// (docs/ENGINE.md section 7). Channels may move when the array grows;
+  /// nothing holds a Channel& across a suspension.
   struct Mailboxes {
     std::vector<std::uint64_t> keys;
     std::vector<sim::Channel<Message>> channels;
@@ -190,6 +205,10 @@ class World {
   std::map<std::string, std::vector<double>> phase_times_;
   std::unique_ptr<Group> world_group_;
   std::unique_ptr<net::CongestionModel> congestion_;
+  /// Scheduled collectives: per (group, op) entry state and the evaluator's
+  /// scratch, reused across calls (defined in world.cpp).
+  struct Collectives;
+  std::unique_ptr<Collectives> collectives_;
   int next_group_context_ = 1;
   std::unique_ptr<trace::Recorder> owned_recorder_;
   trace::Recorder* recorder_ = nullptr;
@@ -324,9 +343,13 @@ class Rank {
   P2P exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
                int tag = 0);
 
-  // --- collectives (algorithms over point-to-point) ----------------------
+  // --- collectives --------------------------------------------------------
   // Each has a whole-world form and a Group form. Group arguments must
   // outlive the await (named lvalues, per the core/task.h GCC constraint).
+  // The unrooted ones (barrier, allreduce, allgather, alltoall,
+  // reduce_scatter) give every rank the spans and exit time their
+  // point-to-point algorithm would, but without congestion they send no
+  // message: each rank parks, and the last one in evaluates the schedule.
   sim::Task<> barrier();                       ///< dissemination
   sim::Task<> barrier(const Group& group);
   sim::Task<> bcast(int root, std::uint64_t bytes);      ///< binomial tree
@@ -367,16 +390,14 @@ class Rank {
   friend class P2P;
   Rank(World& world, int id) : world_(&world), id_(id) {}
 
-  /// Compute transfer times and enqueue the message at the destination.
-  /// Returns {arrival time, sender-completion time}.
-  struct DepositResult {
-    sim::Time arrival;
-    sim::Time sender_done;
-  };
-  DepositResult deposit(int dst, std::uint64_t bytes, int tag);
+  /// Time the message (World::delivery), enqueue it at the destination
+  /// and record its send span.
+  World::Delivery deposit(int dst, std::uint64_t bytes, int tag);
 
-  // Group-based collective engines (tags derived from the group context).
-  sim::Task<> ring_allreduce(const Group& group, std::uint64_t bytes);
+  /// An unrooted collective (`op` indexes world.cpp's CollOp): its rounds
+  /// as point-to-point calls when congestion is on, else one parked entry
+  /// into the group's schedule.
+  sim::Task<> collective(const Group& group, int op, std::uint64_t bytes);
 
   World* world_;
   int id_;

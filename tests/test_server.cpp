@@ -17,6 +17,10 @@
 
 #include "arch/configs.h"
 #include "arch/machine_io.h"
+#include "batch/cluster.h"
+#include "batch/runtime.h"
+#include "batch/workload.h"
+#include "fault/fault.h"
 #include "server/cache.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -227,16 +231,86 @@ TEST(Service, MalformedAndInvalidRequestsGetTypedErrors) {
 TEST(Service, ArrivalsBeyondTheSimulatedClockGetAnErrorReply) {
   // Five arrivals about 1e8 s apart lie far beyond the int64-picosecond
   // clock (~106 days). Converting them used to be undefined behaviour;
-  // now sim::from_seconds refuses them and the request gets an error.
+  // the protocol now refuses such a workload before it runs.
   Service service(small_config());
   const std::string reply =
       service.handle(simulate_line(5, 1, ",\"mean_interarrival_s\":1e8"));
-  EXPECT_NE(reply.find("\"op\":\"error\""), std::string::npos) << reply;
-  EXPECT_NE(reply.find("from_seconds"), std::string::npos) << reply;
+  EXPECT_TRUE(is_error(reply, "bad_request")) << reply;
+  EXPECT_NE(reply.find("mean_interarrival_s"), std::string::npos) << reply;
   // The service keeps serving.
   EXPECT_NE(service.handle(simulate_line(5, 1)).find("\"status\":\"ok\""),
             std::string::npos);
   service.shutdown();
+}
+
+/// A simulate line whose workload span, jobs x mean_interarrival_s +
+/// max_runtime_s x walltime_pad_max, is `share` of the protocol's limit.
+std::string span_line(int jobs, double share) {
+  const double runtime_s = 1000.0;
+  const double pad = 3.0;
+  const double gap =
+      (share * workload_span_limit_s() - runtime_s * pad) / jobs;
+  std::ostringstream os;
+  os.precision(17);
+  os << ",\"mean_interarrival_s\":" << gap
+     << ",\"max_runtime_s\":" << runtime_s
+     << ",\"walltime_pad_max\":" << pad;
+  return simulate_line(jobs, 3, os.str());
+}
+
+TEST(Protocol, WorkloadSpanIsBoundedByTheSimulatedClock) {
+  // A quarter of the 2^63 ps range, about 26.7 days.
+  EXPECT_NEAR(workload_span_limit_s(), 0x1p63 * 1e-12 / 4.0, 1e-3);
+  EXPECT_NO_THROW(parse_request(span_line(5, 0.999)));
+  EXPECT_THROW(parse_request(span_line(5, 1.001)), ProtocolError);
+  EXPECT_THROW(parse_request(span_line(1000000, 1.001)), ProtocolError);
+  // The wall-time term alone can exceed it: 1e9 s x 100.
+  EXPECT_THROW(parse_request(simulate_line(
+                   1, 1, ",\"max_runtime_s\":1e9,\"walltime_pad_max\":100")),
+               ProtocolError);
+}
+
+TEST(Service, TheLargestAcceptedSpanRunsToCompletion) {
+  // Arrivals spread over just under the limit still fit the clock, with
+  // the rest of its range left for the arrival tail.
+  Service service(small_config());
+  const std::string reply = service.handle(span_line(5, 0.999));
+  EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+  service.shutdown();
+}
+
+TEST(Protocol, RequeueBackoffAndFaultsAtTheirServerValuesFitTheClock) {
+  // The wire sets neither the requeue back-off nor a fault timeline: the
+  // server runs every study with ClusterOptions' default back-off and no
+  // faults, and the fields are unknown to the protocol.
+  EXPECT_THROW(parse_request(simulate_line(5, 1, ",\"requeue_backoff_s\":1e9")),
+               ProtocolError);
+  EXPECT_THROW(parse_request(simulate_line(5, 1, ",\"faults\":[]")),
+               ProtocolError);
+  // The accepted span leaves room for both: the largest accepted
+  // workload, with every node failing just after the last arrival and
+  // repaired a full wall time later, requeues that job after the default
+  // back-off and still completes on the clock.
+  const Request request = parse_request(span_line(5, 0.999));
+  const arch::MachineModel machine = arch::cte_arm();
+  const batch::RuntimeModel model(machine);
+  const auto jobs = batch::generate(request.sim.workload, model, 3);
+  const double last_arrival = jobs.back().arrival_s;
+  const double outage_s = request.sim.workload.max_runtime_s *
+                          request.sim.workload.walltime_pad_max;
+  fault::FaultTimeline faults;
+  for (int node = 0; node < machine.num_nodes; ++node) {
+    faults.fail(last_arrival + 1.0, node);
+    faults.repair(last_arrival + 1.0 + outage_s, node);
+  }
+  batch::ClusterOptions options;
+  options.faults = &faults;
+  const auto result = batch::run_cluster(model, jobs, options);
+  ASSERT_EQ(result.records.size(), jobs.size());
+  const auto& last = result.records.back();
+  EXPECT_EQ(last.attempts, 2);
+  EXPECT_GE(last.start_s, last_arrival + outage_s);  // after the repair
+  EXPECT_LT(last.end_s, 0x1p63 * 1e-12);
 }
 
 TEST(Service, OversizedRequestIsRejectedUnparsed) {
