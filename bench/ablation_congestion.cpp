@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "simmpi/world.h"
 
@@ -56,22 +56,14 @@ Outcome run_halo(bool congestion, int nodes, std::uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "ablation_congestion",
-                            "link-contention on/off", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Ablation", "link contention on vs off (CTE-Arm, 32 nodes)");
+  bench::Harness h("ablation_congestion", "link-contention on/off");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Ablation", "link contention on vs off (CTE-Arm, 32 nodes)");
 
   report::Table table("communication patterns under contention",
                       {"pattern", "free [ms]", "congested [ms]", "slowdown",
                        "queueing [ms]"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"pattern", "free_ms",
-                                           "congested_ms", "queueing_ms"});
-  }
+  h.open_csv({"pattern", "free_ms", "congested_ms", "queueing_ms"});
   struct Case {
     const char* name;
     Outcome free_run;
@@ -90,12 +82,9 @@ int main(int argc, char** argv) {
                report::fixed(c.congested.makespan * 1e3, 2),
                report::fixed(c.congested.makespan / c.free_run.makespan, 2),
                report::fixed(c.congested.queueing * 1e3, 2)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          c.name, report::fixed(c.free_run.makespan * 1e3, 4),
-          report::fixed(c.congested.makespan * 1e3, 4),
-          report::fixed(c.congested.queueing * 1e3, 4)});
-    }
+    h.csv_row({c.name, report::fixed(c.free_run.makespan * 1e3, 4),
+               report::fixed(c.congested.makespan * 1e3, 4),
+               report::fixed(c.congested.queueing * 1e3, 4)});
   }
   table.print(std::cout);
   std::printf(

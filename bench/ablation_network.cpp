@@ -10,7 +10,7 @@
 
 #include "apps/nemo.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "simmpi/world.h"
 
@@ -33,12 +33,9 @@ double small_allreduce_latency(const arch::MachineModel& machine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "ablation_network",
-                            "interconnect swap study", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Ablation", "swap the interconnects, keep the nodes");
+  bench::Harness h("ablation_network", "interconnect swap study");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Ablation", "swap the interconnects, keep the nodes");
 
   auto cte = arch::cte_arm();
   auto mn4 = arch::marenostrum4();
@@ -55,22 +52,14 @@ int main(int argc, char** argv) {
   report::Table table("communication-sensitive metrics",
                       {"machine", "allreduce 64 nodes [us]",
                        "NEMO @16 nodes [s]"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"machine", "allreduce_us",
-                                           "nemo_s"});
-  }
+  h.open_csv({"machine", "allreduce_us", "nemo_s"});
   const arch::MachineModel* machines[] = {&cte, &cte_on_opa, &mn4,
                                           &mn4_on_tofu};
   for (const auto* m : machines) {
     const double ar = small_allreduce_latency(*m, 64) * 1e6;
     const double nemo = apps::run_nemo(*m, 16).total_time;
     table.row({m->name, report::fixed(ar, 1), report::fixed(nemo, 2)});
-    if (csv) {
-      csv->row(std::vector<std::string>{m->name, report::fixed(ar, 3),
-                                        report::fixed(nemo, 4)});
-    }
+    h.csv_row({m->name, report::fixed(ar, 3), report::fixed(nemo, 4)});
   }
   table.print(std::cout);
   std::printf(

@@ -10,29 +10,22 @@
 #include "apps/alya.h"
 #include "arch/calibration.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "ablation_ooo",
-                            "scalar-core OoO sweep", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Ablation", "A64FX scalar OoO efficiency vs Alya gap");
+  bench::Harness h("ablation_ooo", "scalar-core OoO sweep");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Ablation", "A64FX scalar OoO efficiency vs Alya gap");
 
   const auto mn4 = arch::marenostrum4();
   const double mn4_step = apps::run_alya(mn4, 16).time_per_step;
 
   report::Table table("Alya @16 nodes vs scalar-core strength",
                       {"ooo efficiency", "s/step", "gap vs MN4"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"ooo", "s_per_step", "gap"});
-  }
+  h.open_csv({"ooo", "s_per_step", "gap"});
   for (double ooo : {0.30, 0.38, 0.50, 0.65, 0.80, 0.95}) {
     auto machine = arch::cte_arm();
     machine.node.core.ooo_scalar_efficiency = ooo;
@@ -42,7 +35,7 @@ int main(int argc, char** argv) {
                   ooo == arch::calib::kA64fxOooEfficiency ? " (A64FX)" : "",
                   ooo == arch::calib::kSkxOooEfficiency ? " (Skylake)" : "");
     table.row({label, report::fixed(t, 3), report::fixed(t / mn4_step, 2)});
-    if (csv) csv->row(std::vector<double>{ooo, t, t / mn4_step});
+    h.csv_row({ooo, t, t / mn4_step});
   }
   table.print(std::cout);
   std::printf(

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "net/topology.h"
 #include "report/table.h"
 #include "sched/allocator.h"
@@ -44,13 +44,10 @@ double run_halo_on(const std::vector<int>& nodes, bool congestion) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "ablation_placement",
-                            "scheduler allocation policies", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Ablation",
-                "node allocation policy vs communication cost (16 nodes)");
+  bench::Harness h("ablation_placement", "scheduler allocation policies");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Ablation",
+           "node allocation policy vs communication cost (16 nodes)");
 
   net::TorusTopology torus(arch::cte_arm().interconnect.dims);
 
@@ -58,12 +55,7 @@ int main(int argc, char** argv) {
       "50 halo steps + reductions on a half-busy 192-node torus",
       {"policy", "mean pairwise hops", "makespan [ms]",
        "congested [ms]"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"policy", "hops", "ms",
-                                           "congested_ms"});
-  }
+  h.open_csv({"policy", "hops", "ms", "congested_ms"});
   for (auto policy :
        {sched::Policy::kContiguous, sched::Policy::kLinear,
         sched::Policy::kRandom}) {
@@ -78,11 +70,8 @@ int main(int argc, char** argv) {
     const double tc = run_halo_on(nodes, true);
     table.row({sched::name_of(policy), report::fixed(hops, 2),
                report::fixed(t * 1e3, 3), report::fixed(tc * 1e3, 3)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          sched::name_of(policy), report::fixed(hops, 4),
-          report::fixed(t * 1e3, 4), report::fixed(tc * 1e3, 4)});
-    }
+    h.csv_row({sched::name_of(policy), report::fixed(hops, 4),
+               report::fixed(t * 1e3, 4), report::fixed(tc * 1e3, 4)});
   }
   table.print(std::cout);
   std::printf(

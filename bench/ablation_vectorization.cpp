@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "roofline/exec_model.h"
 #include "roofline/kernel_library.h"
@@ -17,12 +17,9 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "ablation_vectorization",
-                            "vectorization sweep on CTE-Arm", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Ablation", "achieved SVE vectorization vs application gap");
+  bench::Harness h("ablation_vectorization", "vectorization sweep on CTE-Arm");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Ablation", "achieved SVE vectorization vs application gap");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -37,12 +34,7 @@ int main(int argc, char** argv) {
   report::Table table(
       "Alya-assembly kernel, 1M elements on one node of CTE-Arm",
       {"achieved vectorization", "time [s]", "gap vs MN4", "GFlop/s"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{"vectorization", "time_s", "gap"});
-  }
+  h.open_csv({"vectorization", "time_s", "gap"});
   const roofline::ExecModel cte_gnu(cte.node, arch::gnu_compiler());
   const double gnu_vec =
       arch::gnu_compiler().vectorization(sig.cls, cte.node.core);
@@ -60,9 +52,7 @@ int main(int argc, char** argv) {
     table.row({label, report::fixed(b.total_s, 4),
                report::fixed(b.total_s / mn4_time, 2),
                report::fixed(b.achieved_flops / 1e9, 1)});
-    if (csv) {
-      csv->row(std::vector<double>{vec, b.total_s, b.total_s / mn4_time});
-    }
+    h.csv_row({vec, b.total_s, b.total_s / mn4_time});
   }
   table.print(std::cout);
   std::printf(

@@ -19,7 +19,7 @@
 #include "batch/cluster.h"
 #include "batch/metrics.h"
 #include "batch/workload.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "power/power_model.h"
 #include "report/table.h"
 #include "sched/allocator.h"
@@ -29,15 +29,16 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::string trace_path;
   std::int64_t jobs = 600;
   std::int64_t seed = 1;
   double interarrival = 16.0;
   std::string queue_name = "easy";
-  Cli cli("cluster_throughput",
-          "batch-queue throughput vs node-placement policy on CTE-Arm");
-  cli.option("jobs", &jobs, "number of jobs in the stream (>= 500)")
+  bench::Harness h(
+      "cluster_throughput",
+      "batch-queue throughput vs node-placement policy on CTE-Arm");
+  h.cli()
+      .option("jobs", &jobs, "number of jobs in the stream (>= 500)")
       .option("seed", &seed, "workload + placement seed")
       .option("interarrival", &interarrival,
               "mean inter-arrival gap in seconds (lower = busier)")
@@ -45,10 +46,7 @@ int main(int argc, char** argv) {
       .option("trace", &trace_path,
               "write a Chrome trace (chrome://tracing / Perfetto) of the "
               "contiguous-placement run to this path");
-  if (!bench::parse_harness(argc, argv, "cluster_throughput",
-                            "batch-queue throughput", &csv_path, &cli)) {
-    return 0;
-  }
+  if (!h.parse(argc, argv)) return h.exit_status();
   if (queue_name != "easy" && queue_name != "fcfs") {
     std::fprintf(stderr, "cluster_throughput: --queue must be easy or fcfs, got '%s'\n",
                  queue_name.c_str());
@@ -59,8 +57,8 @@ int main(int argc, char** argv) {
                  static_cast<long long>(jobs));
     return 1;
   }
-  bench::banner("Cluster throughput",
-                "placement policy under batch traffic (192-node CTE-Arm)");
+  h.banner("Cluster throughput",
+           "placement policy under batch traffic (192-node CTE-Arm)");
 
   const batch::RuntimeModel model(arch::cte_arm());
   batch::WorkloadConfig config;
@@ -81,19 +79,12 @@ int main(int argc, char** argv) {
        "wait mean [s]", "wait p95 [s]", "wait p99 [s]", "bsld mean",
        "bsld p95", "hops", "slowdown", "frag", "wasted [nh]", "killed",
        "energy [MJ]", "power [kW]"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{"placement", "queue", "jobs", "utilization",
-                                 "goodput", "availability", "wasted_node_h",
-                                 "makespan_s", "mean_wait_s", "p95_wait_s",
-                                 "p99_wait_s", "mean_bsld", "p95_bsld",
-                                 "p99_bsld", "mean_hops",
-                                 "mean_placement_slowdown", "time_avg_frag",
-                                 "interrupted", "failed", "killed",
-                                 "energy_to_solution_j", "mean_power_w"});
-  }
+  h.open_csv({"placement", "queue", "jobs", "utilization", "goodput",
+              "availability", "wasted_node_h", "makespan_s", "mean_wait_s",
+              "p95_wait_s", "p99_wait_s", "mean_bsld", "p95_bsld", "p99_bsld",
+              "mean_hops", "mean_placement_slowdown", "time_avg_frag",
+              "interrupted", "failed", "killed", "energy_to_solution_j",
+              "mean_power_w"});
 
   trace::Recorder recorder(!trace_path.empty());
   // Scattered placements also cost joules: jobs hold (and power) their
@@ -131,25 +122,22 @@ int main(int argc, char** argv) {
                std::to_string(m.killed),
                report::fixed(m.energy_to_solution_j / 1e6, 2),
                report::fixed(m.mean_power_w / 1e3, 2)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          sched::name_of(placement), batch::name_of(queue),
-          std::to_string(m.jobs), report::fixed(m.utilization, 4),
-          report::fixed(m.goodput, 4), report::fixed(m.availability, 4),
-          report::fixed(m.wasted_node_h, 2),
-          report::fixed(m.makespan_s, 1), report::fixed(m.mean_wait_s, 2),
-          report::fixed(m.p95_wait_s, 2), report::fixed(m.p99_wait_s, 2),
-          report::fixed(m.mean_bounded_slowdown, 3),
-          report::fixed(m.p95_bounded_slowdown, 3),
-          report::fixed(m.p99_bounded_slowdown, 3),
-          report::fixed(m.mean_hops, 3),
-          report::fixed(m.mean_placement_slowdown, 4),
-          report::fixed(m.time_avg_fragmentation, 4),
-          std::to_string(m.interrupted), std::to_string(m.failed),
-          std::to_string(m.killed),
-          report::fixed(m.energy_to_solution_j, 1),
-          report::fixed(m.mean_power_w, 1)});
-    }
+    h.csv_row({sched::name_of(placement), batch::name_of(queue),
+               std::to_string(m.jobs), report::fixed(m.utilization, 4),
+               report::fixed(m.goodput, 4), report::fixed(m.availability, 4),
+               report::fixed(m.wasted_node_h, 2),
+               report::fixed(m.makespan_s, 1), report::fixed(m.mean_wait_s, 2),
+               report::fixed(m.p95_wait_s, 2), report::fixed(m.p99_wait_s, 2),
+               report::fixed(m.mean_bounded_slowdown, 3),
+               report::fixed(m.p95_bounded_slowdown, 3),
+               report::fixed(m.p99_bounded_slowdown, 3),
+               report::fixed(m.mean_hops, 3),
+               report::fixed(m.mean_placement_slowdown, 4),
+               report::fixed(m.time_avg_fragmentation, 4),
+               std::to_string(m.interrupted), std::to_string(m.failed),
+               std::to_string(m.killed),
+               report::fixed(m.energy_to_solution_j, 1),
+               report::fixed(m.mean_power_w, 1)});
     if (placement == sched::Policy::kContiguous) {
       bsld_contiguous = m.mean_bounded_slowdown;
     }

@@ -26,7 +26,7 @@
 #include "batch/cluster.h"
 #include "batch/metrics.h"
 #include "batch/workload.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "power/power_model.h"
 #include "report/table.h"
 #include "trace/chrome.h"
@@ -64,28 +64,24 @@ std::vector<batch::Job> retarget(const std::vector<batch::Job>& stream,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::string trace_path;
   std::int64_t jobs = 240;
   std::int64_t seed = 1;
-  Cli cli("energy_study",
-          "energy-to-solution and EDP vs DVFS state and workload mix");
-  cli.option("jobs", &jobs, "number of jobs in the stream")
+  bench::Harness h("energy_study",
+                   "energy-to-solution and EDP vs DVFS state and workload mix");
+  h.cli()
+      .option("jobs", &jobs, "number of jobs in the stream")
       .option("seed", &seed, "workload + placement seed")
       .option("trace", &trace_path,
               "write a Chrome trace (power counters included) of the "
               "power-capped mixed run to this path");
-  if (!bench::parse_harness(argc, argv, "energy_study", "energy sweep",
-                            &csv_path, &cli)) {
-    return 0;
-  }
+  if (!h.parse(argc, argv)) return h.exit_status();
   if (jobs < 1) {
     std::fprintf(stderr, "energy_study: --jobs must be >= 1, got %lld\n",
                  static_cast<long long>(jobs));
     return 1;
   }
-  bench::banner("Energy study",
-                "DVFS x workload mix on the 192-node CTE-Arm model");
+  h.banner("Energy study", "DVFS x workload mix on the 192-node CTE-Arm model");
 
   const batch::RuntimeModel model(arch::cte_arm());
   const int total_nodes = model.machine().num_nodes;
@@ -113,17 +109,11 @@ int main(int argc, char** argv) {
       "(columns)",
       {"mix", "dvfs", "freq", "makespan [h]", "energy [MJ]", "EDP [GJ*s]",
        "power [kW]", "peak [kW]", "wasted [MJ]", "killed"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{
-            "mix", "dvfs", "freq_scale", "power_cap_w", "dvfs_backfill",
-            "makespan_s", "energy_j", "edp_js", "mean_power_w",
-            "peak_power_w", "wasted_energy_j", "cpu_energy_j",
-            "mem_energy_j", "net_energy_j", "idle_energy_j", "killed",
-            "capped_starts", "downclocked_jobs"});
-  }
+  h.open_csv({"mix", "dvfs", "freq_scale", "power_cap_w", "dvfs_backfill",
+              "makespan_s", "energy_j", "edp_js", "mean_power_w",
+              "peak_power_w", "wasted_energy_j", "cpu_energy_j", "mem_energy_j",
+              "net_energy_j", "idle_energy_j", "killed", "capped_starts",
+              "downclocked_jobs"});
 
   const auto emit = [&](const char* mix, const char* dvfs_name,
                         double freq_scale, const batch::ClusterOptions& o,
@@ -136,21 +126,19 @@ int main(int argc, char** argv) {
                report::fixed(m.peak_power_w / 1e3, 2),
                report::fixed(m.wasted_energy_j / 1e6, 3),
                std::to_string(m.killed)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          mix, dvfs_name, report::fixed(freq_scale, 3),
-          report::fixed(o.power_cap_w, 1), o.dvfs_backfill ? "1" : "0",
-          report::fixed(m.makespan_s, 1),
-          report::fixed(m.energy_to_solution_j, 1),
-          report::fixed(m.edp_js, 1), report::fixed(m.mean_power_w, 1),
-          report::fixed(m.peak_power_w, 1),
-          report::fixed(m.wasted_energy_j, 1),
-          report::fixed(m.cpu_energy_j, 1), report::fixed(m.mem_energy_j, 1),
-          report::fixed(m.net_energy_j, 1),
-          report::fixed(m.idle_energy_j, 1), std::to_string(m.killed),
-          std::to_string(m.capped_starts),
-          std::to_string(m.downclocked_jobs)});
-    }
+    h.csv_row({mix, dvfs_name, report::fixed(freq_scale, 3),
+               report::fixed(o.power_cap_w, 1), o.dvfs_backfill ? "1" : "0",
+               report::fixed(m.makespan_s, 1),
+               report::fixed(m.energy_to_solution_j, 1),
+               report::fixed(m.edp_js, 1), report::fixed(m.mean_power_w, 1),
+               report::fixed(m.peak_power_w, 1),
+               report::fixed(m.wasted_energy_j, 1),
+               report::fixed(m.cpu_energy_j, 1),
+               report::fixed(m.mem_energy_j, 1),
+               report::fixed(m.net_energy_j, 1),
+               report::fixed(m.idle_energy_j, 1), std::to_string(m.killed),
+               std::to_string(m.capped_starts),
+               std::to_string(m.downclocked_jobs)});
   };
 
   // --- DVFS sweep ----------------------------------------------------------

@@ -3,12 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/nemo.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "kernels/stencil.h"
-#include "report/plot.h"
 #include "report/table.h"
 #include "trace/chrome.h"
 #include "trace/recorder.h"
@@ -16,16 +16,13 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
+  bench::Harness h("fig11_nemo", "NEMO scalability");
   std::string trace_path;
-  Cli cli("fig11_nemo", "NEMO scalability");
-  cli.option("trace", &trace_path,
-             "write a Chrome trace of the 8-node CTE-Arm run to this path");
-  if (!bench::parse_harness(argc, argv, "fig11_nemo", "NEMO scalability",
-                            &csv_path, &cli)) {
-    return 0;
-  }
-  bench::banner("Fig. 11", "NEMO: scalability (BENCH @ ORCA1)");
+  h.cli().option(
+      "trace", &trace_path,
+      "write a Chrome trace of the 8-node CTE-Arm run to this path");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 11", "NEMO: scalability (BENCH @ ORCA1)");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -34,57 +31,36 @@ int main(int argc, char** argv) {
 
   report::Table table("execution time [s]",
                       {"nodes", "CTE-Arm", "MareNostrum 4"});
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"machine", "nodes", "seconds"});
-  }
+  bench::ScalingChart chart("NEMO execution time", 18, "nodes", "seconds");
+  h.open_csv({"machine", "nodes", "seconds"});
+  std::map<int, double> cte_s, mn4_s;  // per node count, for the headline
   for (int nodes : {1, 2, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128, 160, 192}) {
     const auto a = apps::run_nemo(cte, nodes);
     const bool mn4_in_range = nodes <= 24;
     const auto b = mn4_in_range ? apps::run_nemo(mn4, nodes)
                                 : apps::NemoResult{};
+    cte_s[nodes] = a.total_time;
+    mn4_s[nodes] = b.total_time;
     table.row({std::to_string(nodes),
                a.fits_memory ? report::fixed(a.total_time, 1) : "NP",
                mn4_in_range ? report::fixed(b.total_time, 1) : "-"});
     if (a.fits_memory) {
-      cx.push_back(nodes);
-      cy.push_back(a.total_time);
-      if (csv) {
-        csv->row(std::vector<std::string>{"cte", std::to_string(nodes),
-                                          report::fixed(a.total_time, 3)});
-      }
+      chart.cte(nodes, a.total_time);
+      h.csv_row({"cte", std::to_string(nodes), report::fixed(a.total_time, 3)});
     }
     if (mn4_in_range) {
-      mx.push_back(nodes);
-      my.push_back(b.total_time);
-      if (csv) {
-        csv->row(std::vector<std::string>{"mn4", std::to_string(nodes),
-                                          report::fixed(b.total_time, 3)});
-      }
+      chart.mn4(nodes, b.total_time);
+      h.csv_row({"mn4", std::to_string(nodes), report::fixed(b.total_time, 3)});
     }
   }
   table.print(std::cout);
+  chart.print();
 
-  report::LineChart chart("NEMO execution time", 72, 18);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("nodes", "seconds");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  std::printf("\n");
-  chart.print(std::cout);
-
-  const double r8 = apps::run_nemo(cte, 8).total_time /
-                    apps::run_nemo(mn4, 8).total_time;
-  const double r24 = apps::run_nemo(cte, 24).total_time /
-                     apps::run_nemo(mn4, 24).total_time;
   std::printf(
       "\nheadline: MN4 is %.2fx (8 nodes) .. %.2fx (24 nodes) faster "
       "(paper: 1.70-1.79x); 48 CTE nodes = %.1f s vs 27 MN4 nodes = %.1f s "
       "(paper: equal); CTE scaling flattens near 128 nodes\n",
-      r8, r24, apps::run_nemo(cte, 48).total_time,
+      cte_s[8] / mn4_s[8], cte_s[24] / mn4_s[24], cte_s[48],
       apps::run_nemo(mn4, 27).total_time);
 
   if (!trace_path.empty()) {

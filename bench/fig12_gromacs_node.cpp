@@ -2,69 +2,45 @@
 // ranks x 6 OpenMP threads, days per simulated nanosecond.
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/gromacs.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "kernels/md.h"
-#include "report/plot.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig12_gromacs_node",
-                            "Gromacs single-node scalability", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 12", "Gromacs: scalability in one node");
+  bench::Harness h("fig12_gromacs_node", "Gromacs single-node scalability");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 12", "Gromacs: scalability in one node");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
   report::Table table("days / ns (ranks x 6 threads)",
                       {"cores", "CTE-Arm", "MareNostrum 4", "slowdown"});
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"cores", "cte_days_per_ns",
-                                           "mn4_days_per_ns"});
-  }
+  bench::ScalingChart chart("Gromacs, one node", 16, "cores", "days/ns");
+  h.open_csv({"cores", "cte_days_per_ns", "mn4_days_per_ns"});
+  std::map<int, double> slowdown;  // per rank count, for the headline
   for (int ranks : {1, 2, 4, 8}) {
     const auto a = apps::run_gromacs(cte, ranks);
     const auto b = apps::run_gromacs(mn4, ranks);
+    slowdown[ranks] = a.days_per_ns / b.days_per_ns;
     table.row(std::to_string(a.cores),
-              {a.days_per_ns, b.days_per_ns, a.days_per_ns / b.days_per_ns},
-              3);
-    cx.push_back(a.cores);
-    cy.push_back(a.days_per_ns);
-    mx.push_back(b.cores);
-    my.push_back(b.days_per_ns);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(a.cores),
-                                   a.days_per_ns, b.days_per_ns});
-    }
+              {a.days_per_ns, b.days_per_ns, slowdown[ranks]}, 3);
+    chart.cte(a.cores, a.days_per_ns);
+    chart.mn4(b.cores, b.days_per_ns);
+    h.csv_row({static_cast<double>(a.cores), a.days_per_ns, b.days_per_ns});
   }
   table.print(std::cout);
+  chart.print();
 
-  report::LineChart chart("Gromacs, one node", 72, 16);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("cores", "days/ns");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  std::printf("\n");
-  chart.print(std::cout);
-
-  const auto a6 = apps::run_gromacs(cte, 1);
-  const auto b6 = apps::run_gromacs(mn4, 1);
-  const auto a48 = apps::run_gromacs(cte, 8);
-  const auto b48 = apps::run_gromacs(mn4, 8);
   std::printf(
       "\nheadline: 6 cores %.2fx slower (paper 3.48x); whole node %.2fx "
       "(paper 3.10x)\n",
-      a6.days_per_ns / b6.days_per_ns, a48.days_per_ns / b48.days_per_ns);
+      slowdown[1], slowdown[8]);
 
   // Native anchor: the real cell-list MD kernel conserves energy.
   kernels::MdSystem md(

@@ -6,59 +6,40 @@
 
 #include "apps/gromacs.h"
 #include "arch/configs.h"
-#include "bench_common.h"
-#include "report/plot.h"
+#include "harness.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig13_gromacs_multi",
-                            "Gromacs multi-node scalability", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 13", "Gromacs: scalability across nodes");
+  bench::Harness h("fig13_gromacs_multi", "Gromacs multi-node scalability");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 13", "Gromacs: scalability across nodes");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
   report::Table table("days / ns (8 ranks x 6 threads per node)",
                       {"nodes", "ranks", "CTE-Arm", "MareNostrum 4",
                        "slowdown"});
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"nodes", "ranks", "cte", "mn4"});
-  }
+  bench::ScalingChart chart("Gromacs, multi-node", 16, "nodes", "days/ns");
+  h.open_csv({"nodes", "ranks", "cte", "mn4"});
+  double slowdown = 0.0;  // after the sweep: at 144 nodes, the headline
   for (int nodes : {1, 2, 4, 8, 16, 32, 64, 128, 144}) {
     const int ranks = nodes * 8;
     const auto a = apps::run_gromacs(cte, ranks);
     const auto b = apps::run_gromacs(mn4, ranks);
+    slowdown = a.days_per_ns / b.days_per_ns;
     table.row(std::to_string(nodes) + " ",
               {static_cast<double>(ranks), a.days_per_ns, b.days_per_ns,
-               a.days_per_ns / b.days_per_ns},
+               slowdown},
               3);
-    cx.push_back(nodes);
-    cy.push_back(a.days_per_ns);
-    mx.push_back(nodes);
-    my.push_back(b.days_per_ns);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(nodes),
-                                   static_cast<double>(ranks), a.days_per_ns,
-                                   b.days_per_ns});
-    }
+    chart.cte(nodes, a.days_per_ns);
+    chart.mn4(nodes, b.days_per_ns);
+    h.csv_row({static_cast<double>(nodes), static_cast<double>(ranks),
+               a.days_per_ns, b.days_per_ns});
   }
   table.print(std::cout);
-
-  report::LineChart chart("Gromacs, multi-node", 72, 16);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("nodes", "days/ns");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  std::printf("\n");
-  chart.print(std::cout);
+  chart.print();
 
   // The anomaly: 16 ranks (2 nodes) decomposes badly on both machines; the
   // 12 ranks x 8 threads layout (dotted line in the paper) is fine.
@@ -74,9 +55,7 @@ int main(int argc, char** argv) {
         m->name.c_str(), bad.days_per_ns, good.days_per_ns);
   }
 
-  const auto a144 = apps::run_gromacs(cte, 144 * 8);
-  const auto b144 = apps::run_gromacs(mn4, 144 * 8);
   std::printf("\nheadline: @144 nodes CTE-Arm is %.2fx slower (paper: 1.5x)\n",
-              a144.days_per_ns / b144.days_per_ns);
+              slowdown);
   return 0;
 }

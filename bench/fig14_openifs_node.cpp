@@ -3,71 +3,47 @@
 // as a correctness anchor for the spectral-transform methodology.
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/openifs.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "kernels/fft.h"
-#include "report/plot.h"
 #include "report/table.h"
 #include "util/rng.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig14_openifs_node",
-                            "OpenIFS single-node scalability", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 14", "OpenIFS: scalability in one node (TL255L91)");
+  bench::Harness h("fig14_openifs_node", "OpenIFS single-node scalability");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 14", "OpenIFS: scalability in one node (TL255L91)");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
   report::Table table("seconds per forecast day",
                       {"ranks", "CTE-Arm", "MareNostrum 4", "slowdown"});
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"ranks", "cte_s", "mn4_s"});
-  }
+  bench::ScalingChart chart("OpenIFS, one node", 16, "MPI ranks", "s/day");
+  h.open_csv({"ranks", "cte_s", "mn4_s"});
+  std::map<int, double> slowdown;  // per rank count, for the headline
   for (int ranks : {8, 12, 16, 24, 32, 48}) {
     const auto a = apps::run_openifs_ranks(cte, ranks);
     const auto b = apps::run_openifs_ranks(mn4, ranks);
+    slowdown[ranks] = a.seconds_per_day / b.seconds_per_day;
     table.row(std::to_string(ranks),
-              {a.seconds_per_day, b.seconds_per_day,
-               a.seconds_per_day / b.seconds_per_day},
-              2);
-    cx.push_back(ranks);
-    cy.push_back(a.seconds_per_day);
-    mx.push_back(ranks);
-    my.push_back(b.seconds_per_day);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(ranks),
-                                   a.seconds_per_day, b.seconds_per_day});
-    }
+              {a.seconds_per_day, b.seconds_per_day, slowdown[ranks]}, 2);
+    chart.cte(ranks, a.seconds_per_day);
+    chart.mn4(ranks, b.seconds_per_day);
+    h.csv_row({static_cast<double>(ranks), a.seconds_per_day,
+               b.seconds_per_day});
   }
   table.print(std::cout);
+  chart.print();
 
-  report::LineChart chart("OpenIFS, one node", 72, 16);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("MPI ranks", "s/day");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  std::printf("\n");
-  chart.print(std::cout);
-
-  const auto a8 = apps::run_openifs_ranks(cte, 8);
-  const auto b8 = apps::run_openifs_ranks(mn4, 8);
-  const auto a48 = apps::run_openifs_ranks(cte, 48);
-  const auto b48 = apps::run_openifs_ranks(mn4, 48);
   std::printf(
       "\nheadline: 8 ranks %.2fx slower (paper 3.72x); full node %.2fx "
       "(paper 3.28x)\n",
-      a8.seconds_per_day / b8.seconds_per_day,
-      a48.seconds_per_day / b48.seconds_per_day);
+      slowdown[8], slowdown[48]);
 
   // Native anchor: FFT round trip at forecast-like sizes.
   Rng rng(7);

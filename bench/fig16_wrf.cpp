@@ -2,25 +2,22 @@
 // nodes, with I/O enabled and disabled.
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/wrf.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "power/attribution.h"
 #include "power/power_model.h"
-#include "report/plot.h"
 #include "report/table.h"
 #include "roofline/exec_model.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig16_wrf", "WRF scalability",
-                            &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 16", "WRF: scalability (Iberia 4 km, 56 h)");
+  bench::Harness h("fig16_wrf", "WRF scalability");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 16", "WRF: scalability (Iberia 4 km, 56 h)");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -31,56 +28,38 @@ int main(int argc, char** argv) {
   report::Table table("elapsed seconds",
                       {"nodes", "CTE IO", "CTE noIO", "MN4 IO", "MN4 noIO",
                        "slowdown"});
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"nodes", "cte_io", "cte_noio",
-                                           "mn4_io", "mn4_noio"});
-  }
+  bench::ScalingChart chart("WRF elapsed time (IO on)", 16, "nodes",
+                            "seconds");
+  h.open_csv({"nodes", "cte_io", "cte_noio", "mn4_io", "mn4_noio"});
+  std::map<int, double> slowdown;  // per node count, for the headline
+  apps::WrfResult serial64;  // CTE-Arm, IO on, 64 nodes: the what-if base
   for (int nodes : {1, 2, 4, 8, 16, 32, 64}) {
     const auto a = apps::run_wrf(cte, nodes, io_on);
     const auto a2 = apps::run_wrf(cte, nodes, io_off);
     const auto b = apps::run_wrf(mn4, nodes, io_on);
     const auto b2 = apps::run_wrf(mn4, nodes, io_off);
+    slowdown[nodes] = a.total_time / b.total_time;
     table.row(std::to_string(nodes),
               {a.total_time, a2.total_time, b.total_time, b2.total_time,
-               a.total_time / b.total_time},
+               slowdown[nodes]},
               1);
-    cx.push_back(nodes);
-    cy.push_back(a.total_time);
-    mx.push_back(nodes);
-    my.push_back(b.total_time);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(nodes), a.total_time,
-                                   a2.total_time, b.total_time,
-                                   b2.total_time});
-    }
+    if (nodes == 64) serial64 = a;
+    chart.cte(nodes, a.total_time);
+    chart.mn4(nodes, b.total_time);
+    h.csv_row({static_cast<double>(nodes), a.total_time, a2.total_time,
+               b.total_time, b2.total_time});
   }
   table.print(std::cout);
+  chart.print();
 
-  report::LineChart chart("WRF elapsed time (IO on)", 72, 16);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("nodes", "seconds");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  std::printf("\n");
-  chart.print(std::cout);
-
-  const double r1 = apps::run_wrf(cte, 1, io_on).total_time /
-                    apps::run_wrf(mn4, 1, io_on).total_time;
-  const double r64 = apps::run_wrf(cte, 64, io_on).total_time /
-                     apps::run_wrf(mn4, 64, io_on).total_time;
   std::printf(
       "\nheadline: 1 node %.2fx slower (paper 2.16x); 64 nodes %.2fx "
       "(paper 2.23x); IO on/off differ little, IO-off slightly ahead\n",
-      r1, r64);
+      slowdown[1], slowdown[64]);
 
   // What-if beyond the paper: an MPI-IO style parallel frame writer.
   apps::WrfConfig pio;
   pio.parallel_io = true;
-  const auto serial64 = apps::run_wrf(cte, 64, io_on);
   const auto parallel64 = apps::run_wrf(cte, 64, pio);
   std::printf(
       "what-if parallel I/O @64 CTE nodes: frame writes %.1f s -> %.1f s "

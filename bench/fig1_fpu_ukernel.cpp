@@ -9,7 +9,7 @@
 
 #include "arch/calibration.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "kernels/fma.h"
 #include "report/table.h"
 #include "simmpi/world.h"
@@ -42,12 +42,9 @@ double peak(const arch::CoreModel& core, const Variant& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig1_fpu_ukernel",
-                            "FPU microkernel, one core", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 1", "FPU uKernel sustained performance (one core)");
+  bench::Harness h("fig1_fpu_ukernel", "FPU microkernel, one core");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 1", "FPU uKernel sustained performance (one core)");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -56,13 +53,7 @@ int main(int argc, char** argv) {
   report::Table table("FPU uKernel, GFlop/s (% of theoretical peak)",
                       {"variant", "CTE-Arm", "%peak", "MareNostrum 4",
                        "%peak"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"variant", "cte_gflops",
-                                           "cte_pct", "mn4_gflops",
-                                           "mn4_pct"});
-  }
+  h.open_csv({"variant", "cte_gflops", "cte_pct", "mn4_gflops", "mn4_pct"});
   for (const auto& v : kVariants) {
     const double cte_peak = peak(cte.node.core, v);
     const double mn4_peak = peak(mn4.node.core, v);
@@ -72,12 +63,9 @@ int main(int argc, char** argv) {
                report::fixed(100.0 * cte_sustained / cte_peak, 1),
                report::fixed(mn4_sustained / 1e9, 2),
                report::fixed(100.0 * mn4_sustained / mn4_peak, 1)});
-    if (csv) {
-      csv->row(std::vector<double>{
-          0.0 + (&v - kVariants), cte_sustained / 1e9,
-          100.0 * cte_sustained / cte_peak, mn4_sustained / 1e9,
-          100.0 * mn4_sustained / mn4_peak});
-    }
+    h.csv_row({0.0 + (&v - kVariants), cte_sustained / 1e9,
+               100.0 * cte_sustained / cte_peak, mn4_sustained / 1e9,
+               100.0 * mn4_sustained / mn4_peak});
   }
   table.print(std::cout);
 

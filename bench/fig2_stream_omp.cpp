@@ -4,7 +4,7 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "mem/stream_sim.h"
 #include "report/plot.h"
 #include "report/table.h"
@@ -12,12 +12,9 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig2_stream_omp",
-                            "STREAM Triad with OpenMP", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 2", "STREAM Triad bandwidth with OpenMP (spread)");
+  bench::Harness h("fig2_stream_omp", "STREAM Triad with OpenMP");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 2", "STREAM Triad bandwidth with OpenMP (spread)");
 
   // Table II context: build configurations used in the paper.
   report::Table builds("Table II — STREAM build configurations",
@@ -44,12 +41,7 @@ int main(int argc, char** argv) {
   report::LineChart chart("STREAM Triad, OpenMP only", 72, 18);
   chart.set_axis_labels("threads", "GB/s");
   std::vector<double> threads, cte_c, cte_f, mn4_c, mn4_f;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"threads", "cte_c", "cte_f",
-                                           "mn4_c", "mn4_f"});
-  }
+  h.open_csv({"threads", "cte_c", "cte_f", "mn4_c", "mn4_f"});
   for (int t : {1, 2, 4, 6, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48}) {
     const double a = cte.omp_bandwidth(mem::StreamKernel::kTriad, t,
                                        arch::Language::kC)
@@ -70,10 +62,7 @@ int main(int argc, char** argv) {
     cte_f.push_back(b / 1e9);
     mn4_c.push_back(c / 1e9);
     mn4_f.push_back(d / 1e9);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(t), a / 1e9, b / 1e9,
-                                   c / 1e9, d / 1e9});
-    }
+    h.csv_row({static_cast<double>(t), a / 1e9, b / 1e9, c / 1e9, d / 1e9});
   }
   table.print(std::cout);
   std::printf("\n");

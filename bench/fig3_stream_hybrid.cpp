@@ -4,31 +4,23 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "mem/stream_sim.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig3_stream_hybrid",
-                            "STREAM Triad MPI+OpenMP", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 3", "STREAM Triad bandwidth with MPI+OpenMP");
+  bench::Harness h("fig3_stream_hybrid", "STREAM Triad MPI+OpenMP");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 3", "STREAM Triad bandwidth with MPI+OpenMP");
 
   const mem::StreamSimulator cte(arch::cte_arm());
   const mem::StreamSimulator mn4(arch::marenostrum4());
 
   report::Table table("GB/s per MPI x OMP layout (one rank per NUMA domain)",
                       {"machine", "layout", "C", "Fortran"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"machine", "ranks", "threads",
-                                           "c_gbs", "fortran_gbs"});
-  }
+  h.open_csv({"machine", "ranks", "threads", "c_gbs", "fortran_gbs"});
   auto emit = [&](const mem::StreamSimulator& sim, const char* name,
                   int procs, int threads) {
     const double c = sim.hybrid_bandwidth(mem::StreamKernel::kTriad, procs,
@@ -41,11 +33,8 @@ int main(int argc, char** argv) {
     std::snprintf(layout, sizeof(layout), "%dx%d", procs, threads);
     table.row({name, layout, report::fixed(c / 1e9, 1),
                report::fixed(f / 1e9, 1)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          name, std::to_string(procs), std::to_string(threads),
-          report::fixed(c / 1e9, 3), report::fixed(f / 1e9, 3)});
-    }
+    h.csv_row({name, std::to_string(procs), std::to_string(threads),
+               report::fixed(c / 1e9, 3), report::fixed(f / 1e9, 3)});
   };
   for (int procs : {1, 2, 3, 4}) emit(cte, "CTE-Arm", procs, 12);
   for (int procs : {1, 2}) emit(mn4, "MareNostrum 4", procs, 24);

@@ -8,7 +8,7 @@
 
 #include "arch/calibration.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "net/network.h"
 #include "report/plot.h"
 #include "util/stats.h"
@@ -16,15 +16,12 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  Cli cli("fig4_pair_bandwidth", "all-pairs point-to-point bandwidth");
+  bench::Harness h("fig4_pair_bandwidth",
+                   "all-pairs point-to-point bandwidth");
   std::int64_t msg_size = 256;
-  cli.option("msg-size", &msg_size, "message size in bytes");
-  if (!bench::parse_harness(argc, argv, "fig4_pair_bandwidth",
-                            "all-pairs bandwidth", &csv_path, &cli)) {
-    return 0;
-  }
-  bench::banner("Fig. 4", "bandwidth of all node-pairs of CTE-Arm");
+  h.cli().option("msg-size", &msg_size, "message size in bytes");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 4", "bandwidth of all node-pairs of CTE-Arm");
 
   const auto machine = arch::cte_arm();
   net::Network network(machine.interconnect, machine.num_nodes);
@@ -38,11 +35,7 @@ int main(int argc, char** argv) {
   RunningStats all;
   RunningStats weak_as_receiver;
   RunningStats weak_as_sender;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"src", "dst", "mbps"});
-  }
+  h.open_csv({"src", "dst", "mbps"});
   for (int src = 0; src < n; ++src) {
     for (int dst = 0; dst < n; ++dst) {
       if (src == dst) continue;
@@ -54,10 +47,7 @@ int main(int argc, char** argv) {
       all.add(mbps);
       if (dst == arch::calib::kWeakNodeIndex) weak_as_receiver.add(mbps);
       if (src == arch::calib::kWeakNodeIndex) weak_as_sender.add(mbps);
-      if (csv) {
-        csv->row(std::vector<double>{static_cast<double>(src),
-                                     static_cast<double>(dst), mbps});
-      }
+      h.csv_row({static_cast<double>(src), static_cast<double>(dst), mbps});
     }
   }
   map.print(std::cout, 96);

@@ -9,7 +9,7 @@
 
 #include "arch/calibration.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "net/network.h"
 #include "report/plot.h"
 #include "util/stats.h"
@@ -17,13 +17,10 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig5_bw_distribution",
-                            "bandwidth distribution vs message size",
-                            &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 5", "bandwidth distribution over all node pairs");
+  bench::Harness h("fig5_bw_distribution",
+                   "bandwidth distribution vs message size");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 5", "bandwidth distribution over all node pairs");
 
   const auto machine = arch::cte_arm();
   net::Network network(machine.interconnect, machine.num_nodes);
@@ -39,13 +36,7 @@ int main(int argc, char** argv) {
   report::Heatmap density("message size 2^p B (rows, top=2^0) vs log10 "
                           "bandwidth [MB/s] (cols): occurrence count",
                           kMaxPow + 1, kBwBins);
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{"pow2", "p10_mbps", "p50_mbps", "p90_mbps",
-                                 "modes"});
-  }
+  h.open_csv({"pow2", "p10_mbps", "p50_mbps", "p90_mbps", "modes"});
   std::printf("per-size summary (all %d x %d pairs):\n", n, n - 1);
   std::printf("%6s %12s %12s %12s %7s\n", "size", "p10 MB/s", "median",
               "p90 MB/s", "modes");
@@ -72,13 +63,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(size),
                 percentile(sample, 0.10), percentile(sample, 0.50),
                 percentile(sample, 0.90), modes);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(p),
-                                   percentile(sample, 0.10),
-                                   percentile(sample, 0.50),
-                                   percentile(sample, 0.90),
-                                   static_cast<double>(modes)});
-    }
+    h.csv_row({static_cast<double>(p), percentile(sample, 0.10),
+               percentile(sample, 0.50), percentile(sample, 0.90),
+               static_cast<double>(modes)});
   }
   std::printf("\n");
   density.print(std::cout, 96);

@@ -5,20 +5,16 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "hpcb/hpl.h"
-#include "report/plot.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "fig6_linpack",
-                            "Linpack scalability", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Fig. 6", "Linpack scalability");
+  bench::Harness h("fig6_linpack", "Linpack scalability");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 6", "Linpack scalability");
 
   const auto cte_machine = arch::cte_arm();
   const auto mn4_machine = arch::marenostrum4();
@@ -28,45 +24,29 @@ int main(int argc, char** argv) {
   report::Table table("HPL GFlop/s",
                       {"nodes", "CTE-Arm", "eff%", "MN4", "eff%",
                        "speedup"});
-  report::LineChart chart("Linpack scalability", 72, 18);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("nodes", "GFlop/s");
-  std::vector<double> xs, cte_ys, mn4_ys;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"nodes", "cte_gflops", "cte_eff",
-                                           "mn4_gflops", "mn4_eff"});
-  }
+  bench::ScalingChart chart("Linpack scalability", 18, "nodes", "GFlop/s");
+  h.open_csv({"nodes", "cte_gflops", "cte_eff", "mn4_gflops", "mn4_eff"});
+  hpcb::HplPoint a, b;  // after the sweep: its 192-node point, the headline
   for (int nodes : {1, 2, 4, 8, 16, 32, 64, 96, 128, 160, 192}) {
-    const auto a = cte.run(nodes);
-    const auto b = mn4.run(nodes);
+    a = cte.run(nodes);
+    b = mn4.run(nodes);
     table.row(std::to_string(nodes),
               {a.gflops, 100.0 * a.efficiency, b.gflops, 100.0 * b.efficiency,
                a.gflops / b.gflops});
-    xs.push_back(nodes);
-    cte_ys.push_back(a.gflops);
-    mn4_ys.push_back(b.gflops);
-    if (csv) {
-      csv->row(std::vector<double>{static_cast<double>(nodes), a.gflops,
-                                   a.efficiency, b.gflops, b.efficiency});
-    }
+    chart.cte(nodes, a.gflops);
+    chart.mn4(nodes, b.gflops);
+    h.csv_row({static_cast<double>(nodes), a.gflops, a.efficiency, b.gflops,
+               b.efficiency});
   }
   table.print(std::cout);
-  std::printf("\n");
-  chart.series("CTE-Arm", xs, cte_ys);
-  chart.series("MareNostrum 4", xs, mn4_ys);
-  chart.print(std::cout);
+  chart.print();
 
-  const auto a192 = cte.run(192);
-  const auto b192 = mn4.run(192);
   std::printf(
       "\nheadline @192 nodes: CTE-Arm %.0f%% of peak (paper 85%%, Fugaku "
       "82%%), MN4 %.0f%% (paper 63%%)\n",
-      100.0 * a192.efficiency, 100.0 * b192.efficiency);
+      100.0 * a.efficiency, 100.0 * b.efficiency);
   std::printf("problem sizes @192: CTE N=%.0f (P=%d Q=%d), MN4 N=%.0f "
               "(P=%d Q=%d)\n",
-              a192.n, a192.p, a192.q, b192.n, b192.p, b192.q);
+              a.n, a.p, a.q, b.n, b.p, b.q);
   return 0;
 }

@@ -2,12 +2,12 @@
 // elements, MPI-only), CTE-Arm 12..78 nodes vs MareNostrum 4 4..16 nodes.
 #include <cstdio>
 #include <iostream>
+#include <map>
 
 #include "apps/alya.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "kernels/sparse.h"
-#include "report/plot.h"
 #include "report/table.h"
 #include "trace/chrome.h"
 #include "trace/recorder.h"
@@ -15,16 +15,13 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
+  bench::Harness h("fig8_alya_timestep", "Alya average time step");
   std::string trace_path;
-  Cli cli("fig8_alya_timestep", "Alya average time step");
-  cli.option("trace", &trace_path,
-             "write a Chrome trace of the 12-node CTE-Arm run to this path");
-  if (!bench::parse_harness(argc, argv, "fig8_alya_timestep",
-                            "Alya average time step", &csv_path, &cli)) {
-    return 0;
-  }
-  bench::banner("Fig. 8", "Alya: average time step (TestCaseB)");
+  h.cli().option(
+      "trace", &trace_path,
+      "write a Chrome trace of the 12-node CTE-Arm run to this path");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Fig. 8", "Alya: average time step (TestCaseB)");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -33,20 +30,14 @@ int main(int argc, char** argv) {
 
   report::Table table("seconds per time step (avg of 19 steps)",
                       {"nodes", "CTE-Arm", "MareNostrum 4"});
-  report::LineChart chart("Alya time step", 72, 18);
-  chart.set_log_x(true);
-  chart.set_log_y(true);
-  chart.set_axis_labels("nodes", "s/step");
-  std::vector<double> cx, cy, mx, my;
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{"machine", "nodes", "s_per_step"});
-  }
+  bench::ScalingChart chart("Alya time step", 18, "nodes", "s/step");
+  h.open_csv({"machine", "nodes", "s_per_step"});
+  std::map<int, double> cte_s, mn4_s;  // per node count, for the headline
   for (int nodes : {4, 8, 12, 16, 22, 32, 44, 62, 78}) {
     const auto a = apps::run_alya(cte, nodes);
     const auto b = apps::run_alya(mn4, nodes);
+    cte_s[nodes] = a.time_per_step;
+    mn4_s[nodes] = b.time_per_step;
     std::string cte_cell = a.fits_memory
                                ? report::fixed(a.time_per_step, 3)
                                : std::string("NP");
@@ -55,36 +46,23 @@ int main(int argc, char** argv) {
                                : std::string("-");
     table.row({std::to_string(nodes), cte_cell, mn4_cell});
     if (a.fits_memory) {
-      cx.push_back(nodes);
-      cy.push_back(a.time_per_step);
-      if (csv) {
-        csv->row(std::vector<std::string>{
-            "cte", std::to_string(nodes), report::fixed(a.time_per_step, 5)});
-      }
+      chart.cte(nodes, a.time_per_step);
+      h.csv_row({"cte", std::to_string(nodes),
+                 report::fixed(a.time_per_step, 5)});
     }
     if (b.fits_memory && nodes <= 16) {
-      mx.push_back(nodes);
-      my.push_back(b.time_per_step);
-      if (csv) {
-        csv->row(std::vector<std::string>{
-            "mn4", std::to_string(nodes), report::fixed(b.time_per_step, 5)});
-      }
+      chart.mn4(nodes, b.time_per_step);
+      h.csv_row({"mn4", std::to_string(nodes),
+                 report::fixed(b.time_per_step, 5)});
     }
   }
   table.print(std::cout);
-  std::printf("\n");
-  chart.series("CTE-Arm", cx, cy);
-  chart.series("MareNostrum 4", mx, my);
-  chart.print(std::cout);
+  chart.print();
 
-  const auto c12 = apps::run_alya(cte, 12);
-  const auto m12 = apps::run_alya(mn4, 12);
-  const auto c44 = apps::run_alya(cte, 44);
   std::printf(
       "\nheadline: @12-16 nodes CTE-Arm is %.2fx slower (paper: 3.4x); 44 "
       "CTE nodes = %.3f s vs 12 MN4 nodes = %.3f s (paper: equal at 44)\n",
-      c12.time_per_step / m12.time_per_step, c44.time_per_step,
-      m12.time_per_step);
+      cte_s[12] / mn4_s[12], cte_s[44], mn4_s[12]);
 
   if (!trace_path.empty()) {
     // A dedicated traced run at the paper's memory-minimum point: the

@@ -26,8 +26,8 @@
 #include "batch/cluster.h"
 #include "batch/metrics.h"
 #include "batch/workload.h"
-#include "bench_common.h"
 #include "fault/mtbf.h"
+#include "harness.h"
 #include "report/table.h"
 #include "trace/chrome.h"
 #include "trace/recorder.h"
@@ -35,28 +35,25 @@
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::string trace_path;
   std::int64_t jobs = 240;
   std::int64_t seed = 1;
-  Cli cli("resilience_study",
-          "goodput vs node MTBF and checkpoint interval on CTE-Arm");
-  cli.option("jobs", &jobs, "number of jobs in the stream")
+  bench::Harness h("resilience_study",
+                   "goodput vs node MTBF and checkpoint interval on CTE-Arm");
+  h.cli()
+      .option("jobs", &jobs, "number of jobs in the stream")
       .option("seed", &seed, "workload + fault-script seed")
       .option("trace", &trace_path,
               "write a Chrome trace of the 6h-MTBF / Young-Daly run "
               "(failures, drains, requeues) to this path");
-  if (!bench::parse_harness(argc, argv, "resilience_study",
-                            "resilience sweep", &csv_path, &cli)) {
-    return 0;
-  }
+  if (!h.parse(argc, argv)) return h.exit_status();
   if (jobs < 1) {
     std::fprintf(stderr, "resilience_study: --jobs must be >= 1, got %lld\n",
                  static_cast<long long>(jobs));
     return 1;
   }
-  bench::banner("Resilience study",
-                "MTBF x checkpoint interval on the 192-node CTE-Arm model");
+  h.banner("Resilience study",
+           "MTBF x checkpoint interval on the 192-node CTE-Arm model");
 
   const batch::RuntimeModel model(arch::cte_arm());
   const int total_nodes = model.machine().num_nodes;
@@ -90,15 +87,9 @@ int main(int argc, char** argv) {
       "(columns)",
       {"mtbf [h]", "interval [s]", "goodput", "util", "avail",
        "wasted [nh]", "interrupted", "failed", "attempts", "makespan [h]"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path,
-        std::vector<std::string>{
-            "mtbf_h", "interval", "goodput", "utilization", "availability",
-            "wasted_node_h", "interrupted", "failed", "killed",
-            "mean_attempts", "makespan_s"});
-  }
+  h.open_csv({"mtbf_h", "interval", "goodput", "utilization", "availability",
+              "wasted_node_h", "interrupted", "failed", "killed",
+              "mean_attempts", "makespan_s"});
 
   trace::Recorder recorder(!trace_path.empty());
   for (std::size_t mi = 0; mi < mtbf_hours.size(); ++mi) {
@@ -137,16 +128,13 @@ int main(int argc, char** argv) {
                  std::to_string(m.interrupted), std::to_string(m.failed),
                  report::fixed(m.mean_attempts, 2),
                  report::fixed(m.makespan_s / 3600.0, 2)});
-      if (csv) {
-        csv->row(std::vector<std::string>{
-            report::fixed(mtbf_h, 1), label, report::fixed(m.goodput, 4),
-            report::fixed(m.utilization, 4),
-            report::fixed(m.availability, 4),
-            report::fixed(m.wasted_node_h, 2), std::to_string(m.interrupted),
-            std::to_string(m.failed), std::to_string(m.killed),
-            report::fixed(m.mean_attempts, 3),
-            report::fixed(m.makespan_s, 1)});
-      }
+      h.csv_row({report::fixed(mtbf_h, 1), label, report::fixed(m.goodput, 4),
+                 report::fixed(m.utilization, 4),
+                 report::fixed(m.availability, 4),
+                 report::fixed(m.wasted_node_h, 2),
+                 std::to_string(m.interrupted), std::to_string(m.failed),
+                 std::to_string(m.killed), report::fixed(m.mean_attempts, 3),
+                 report::fixed(m.makespan_s, 1)});
       if (!choice.young_daly && m.goodput > best_goodput) {
         best_goodput = m.goodput;
         best_label = choice.label;

@@ -19,14 +19,13 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/nemo.h"
 #include "apps/wrf.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "trace/chrome.h"
 #include "trace/recorder.h"
@@ -51,31 +50,28 @@ bool in_ci(const Row& r) { return abs_err(r) <= r.outcome.ci_half_s; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::string trace_path;
   std::int64_t nemo_steps = 10000;
   std::int64_t wrf_steps = 1000;
   std::int64_t seed = 2;
   bool check = false;
-  Cli cli("sampling_study",
-          "sampled vs full error and speedup over a K x phases sweep");
-  cli.option("nemo-steps", &nemo_steps, "NEMO full-run length (time steps)")
+  bench::Harness h("sampling_study",
+                   "sampled vs full error and speedup over a K x phases sweep");
+  h.cli()
+      .option("nemo-steps", &nemo_steps, "NEMO full-run length (time steps)")
       .option("wrf-steps", &wrf_steps, "WRF full-run length (time steps)")
       .option("seed", &seed, "sampling plan seed")
       .option("trace", &trace_path,
               "write a Chrome trace of one sampled run to this path")
       .flag("check", &check,
             "exit nonzero if any sampled error exceeds its CI bound");
-  if (!bench::parse_harness(argc, argv, "sampling_study",
-                            "sampling accuracy sweep", &csv_path, &cli)) {
-    return 0;
-  }
+  if (!h.parse(argc, argv)) return h.exit_status();
   if (nemo_steps < 10 || wrf_steps < 10) {
     std::fprintf(stderr, "sampling_study: step counts must be >= 10\n");
     return 1;
   }
-  bench::banner("Sampling study",
-                "representative-region sampling: error vs CI vs speedup");
+  h.banner("Sampling study",
+           "representative-region sampling: error vs CI vs speedup");
 
   const auto cte = arch::cte_arm();
   trace::Recorder recorder(!trace_path.empty());
@@ -137,15 +133,9 @@ int main(int argc, char** argv) {
       "sampled estimate vs full run — K x max_phases sweep",
       {"app", "K", "max_ph", "phases", "sim steps", "full [s]", "est [s]",
        "±CI [s]", "err [s]", "err %", "in CI", "speedup"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{
-                      "app", "k", "max_phases", "warmup", "seed",
-                      "phases_detected", "steps_total", "steps_simulated",
-                      "full_s", "sampled_s", "ci_half_s", "abs_err_s",
-                      "in_ci", "speedup"});
-  }
+  h.open_csv({"app", "k", "max_phases", "warmup", "seed", "phases_detected",
+              "steps_total", "steps_simulated", "full_s", "sampled_s",
+              "ci_half_s", "abs_err_s", "in_ci", "speedup"});
   int misses = 0;
   for (const Row& r : rows) {
     const double err = r.total_s - r.full_s;
@@ -159,18 +149,15 @@ int main(int argc, char** argv) {
                report::fixed(100.0 * err / r.full_s, 3),
                in_ci(r) ? "yes" : "NO",
                report::fixed(r.outcome.speedup(), 1)});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          r.app, std::to_string(r.k), std::to_string(r.max_phases),
-          std::to_string(r.warmup), std::to_string(seed),
-          std::to_string(r.outcome.phase_count),
-          std::to_string(r.outcome.steps_total),
-          std::to_string(r.outcome.steps_simulated),
-          report::fixed(r.full_s, 9), report::fixed(r.total_s, 9),
-          report::fixed(r.outcome.ci_half_s, 9),
-          report::fixed(abs_err(r), 9), in_ci(r) ? "1" : "0",
-          report::fixed(r.outcome.speedup(), 3)});
-    }
+    h.csv_row({r.app, std::to_string(r.k), std::to_string(r.max_phases),
+               std::to_string(r.warmup), std::to_string(seed),
+               std::to_string(r.outcome.phase_count),
+               std::to_string(r.outcome.steps_total),
+               std::to_string(r.outcome.steps_simulated),
+               report::fixed(r.full_s, 9), report::fixed(r.total_s, 9),
+               report::fixed(r.outcome.ci_half_s, 9),
+               report::fixed(abs_err(r), 9), in_ci(r) ? "1" : "0",
+               report::fixed(r.outcome.speedup(), 3)});
   }
   table.print(std::cout);
 

@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "server/client.h"
 #include "server/service.h"
@@ -56,27 +56,24 @@ double run_wave(int port, int clients, int requests, int jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
   std::int64_t workers = 4;
   std::int64_t clients = 4;
   std::int64_t requests = 32;
   std::int64_t jobs = 150;
-  Cli cli("server_throughput",
-          "requests/sec and cache-hit speedup of the what-if server");
-  cli.option("workers", &workers, "server worker threads")
+  bench::Harness h("server_throughput",
+                   "requests/sec and cache-hit speedup of the what-if server");
+  h.cli()
+      .option("workers", &workers, "server worker threads")
       .option("clients", &clients, "concurrent client connections")
       .option("requests", &requests, "requests per wave")
       .option("jobs", &jobs, "workload size per request");
-  if (!bench::parse_harness(argc, argv, "server_throughput",
-                            "what-if server throughput", &csv_path, &cli)) {
-    return 0;
-  }
+  if (!h.parse(argc, argv)) return h.exit_status();
   if (workers < 1 || clients < 1 || requests < 1 || jobs < 1) {
     std::fprintf(stderr, "server_throughput: all options must be >= 1\n");
     return 1;
   }
-  bench::banner("Server throughput",
-                "concurrent what-if serving with result caching");
+  h.banner("Server throughput",
+           "concurrent what-if serving with result caching");
 
   server::ServiceConfig config;
   config.workers = static_cast<int>(workers);
@@ -122,16 +119,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.cache.hits));
     return 1;
   }
-  if (!csv_path.empty()) {
-    CsvWriter csv(csv_path,
-                  {"wave", "requests", "clients", "workers", "jobs",
-                   "elapsed_s", "req_per_s"});
-    csv.row({"cold", std::to_string(requests), std::to_string(clients),
+  h.open_csv({"wave", "requests", "clients", "workers", "jobs", "elapsed_s",
+              "req_per_s"});
+  h.csv_row({"cold", std::to_string(requests), std::to_string(clients),
              std::to_string(workers), std::to_string(jobs),
              report::fixed(cold_s, 4), report::fixed(cold_rps, 2)});
-    csv.row({"warm", std::to_string(requests), std::to_string(clients),
+  h.csv_row({"warm", std::to_string(requests), std::to_string(clients),
              std::to_string(workers), std::to_string(jobs),
              report::fixed(warm_s, 4), report::fixed(warm_rps, 2)});
-  }
   return 0;
 }

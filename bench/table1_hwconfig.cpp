@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 #include "util/units.h"
 
@@ -20,12 +20,9 @@ std::string freq(const arch::MachineModel& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "table1_hwconfig",
-                            "Table I hardware configuration", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Table I", "hardware configuration");
+  bench::Harness h("table1_hwconfig", "Table I hardware configuration");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Table I", "hardware configuration");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -76,12 +73,9 @@ int main(int argc, char** argv) {
       report::fixed(mn4.interconnect.link_bw / 1e9, 2));
   table.print(std::cout);
 
-  if (!csv_path.empty()) {
-    CsvWriter csv(csv_path, {"property", "cte_arm", "marenostrum4"});
-    for (std::size_t r = 0; r < table.rows(); ++r) {
-      csv.row(std::vector<std::string>{table.cell(r, 0), table.cell(r, 1),
-                                       table.cell(r, 2)});
-    }
+  h.open_csv({"property", "cte_arm", "marenostrum4"});
+  for (std::size_t r = 0; r < table.rows(); ++r) {
+    h.csv_row({table.cell(r, 0), table.cell(r, 1), table.cell(r, 2)});
   }
   return 0;
 }

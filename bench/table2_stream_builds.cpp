@@ -8,18 +8,15 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "table2_stream_builds",
-                            "STREAM build configurations", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Table II", "build configurations for STREAM");
+  bench::Harness h("table2_stream_builds", "STREAM build configurations");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Table II", "build configurations for STREAM");
 
   report::Table builds("STREAM builds (as in the paper)",
                        {"build", "compiler", "key flags"});
@@ -39,12 +36,7 @@ int main(int argc, char** argv) {
   report::Table effect(
       "modelled streaming quality by toolchain (stream kernel class)",
       {"machine", "compiler", "vectorization", "bw sustained"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"machine", "compiler",
-                                           "vectorization", "mem_eff"});
-  }
+  h.open_csv({"machine", "compiler", "vectorization", "mem_eff"});
   struct Row {
     const arch::MachineModel* machine;
     arch::CompilerModel compiler;
@@ -62,11 +54,8 @@ int main(int argc, char** argv) {
                                                  r.machine->node.core);
     effect.row({r.machine->name, arch::name_of(r.compiler.vendor()),
                 report::fixed(vec, 2), report::fixed(100.0 * mem, 0) + "%"});
-    if (csv) {
-      csv->row(std::vector<std::string>{
-          r.machine->name, arch::name_of(r.compiler.vendor()),
-          report::fixed(vec, 3), report::fixed(mem, 3)});
-    }
+    h.csv_row({r.machine->name, arch::name_of(r.compiler.vendor()),
+               report::fixed(vec, 3), report::fixed(mem, 3)});
   }
   effect.print(std::cout);
   std::printf(

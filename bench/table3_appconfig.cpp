@@ -5,18 +5,15 @@
 #include <iostream>
 
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "report/table.h"
 
 using namespace ctesim;
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "table3_appconfig",
-                            "application build configurations", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Table III", "build configurations for all applications");
+  bench::Harness h("table3_appconfig", "application build configurations");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Table III", "build configurations for all applications");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -43,17 +40,19 @@ int main(int argc, char** argv) {
       "kernel class:\n");
   report::Table codegen("vectorization achieved by the application builds",
                         {"kernel class", "GNU on A64FX", "Intel on SKX"});
+  h.open_csv({"kernel_class", "cte", "mn4"});
   for (auto cls : {arch::KernelClass::kFemAssembly,
                    arch::KernelClass::kSparseSolver,
                    arch::KernelClass::kStencil,
                    arch::KernelClass::kMdNonbonded,
                    arch::KernelClass::kSpectralTransform,
                    arch::KernelClass::kPhysics}) {
-    codegen.row({arch::name_of(cls),
-                 report::fixed(cte_compiler.vectorization(cls, cte.node.core),
-                               2),
-                 report::fixed(mn4_compiler.vectorization(cls, mn4.node.core),
-                               2)});
+    const double cte_vec = cte_compiler.vectorization(cls, cte.node.core);
+    const double mn4_vec = mn4_compiler.vectorization(cls, mn4.node.core);
+    codegen.row({arch::name_of(cls), report::fixed(cte_vec, 2),
+                 report::fixed(mn4_vec, 2)});
+    h.csv_row({arch::name_of(cls), report::fixed(cte_vec, 3),
+               report::fixed(mn4_vec, 3)});
   }
   codegen.print(std::cout);
   std::printf(

@@ -11,7 +11,7 @@
 #include "apps/openifs.h"
 #include "apps/wrf.h"
 #include "arch/configs.h"
-#include "bench_common.h"
+#include "harness.h"
 #include "hpcb/hpcg.h"
 #include "hpcb/hpl.h"
 #include "report/table.h"
@@ -25,12 +25,9 @@ std::string cell(double speedup) { return report::fixed(speedup, 2); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string csv_path;
-  if (!bench::parse_harness(argc, argv, "table4_speedup_summary",
-                            "Table IV speedup summary", &csv_path)) {
-    return 0;
-  }
-  bench::banner("Table IV", "speedup of CTE-Arm relative to MareNostrum 4");
+  bench::Harness h("table4_speedup_summary", "Table IV speedup summary");
+  if (!h.parse(argc, argv)) return h.exit_status();
+  h.banner("Table IV", "speedup of CTE-Arm relative to MareNostrum 4");
 
   const auto cte = arch::cte_arm();
   const auto mn4 = arch::marenostrum4();
@@ -38,16 +35,9 @@ int main(int argc, char** argv) {
 
   report::Table table("speedup (CTE-Arm / MareNostrum 4)",
                       {"Applications", "1", "16", "32", "64", "128", "192"});
-  std::unique_ptr<CsvWriter> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<CsvWriter>(
-        csv_path, std::vector<std::string>{"app", "nodes", "speedup"});
-  }
+  h.open_csv({"app", "nodes", "speedup"});
   auto emit_csv = [&](const char* app, int nodes, double speedup) {
-    if (csv) {
-      csv->row(std::vector<std::string>{app, std::to_string(nodes),
-                                        report::fixed(speedup, 4)});
-    }
+    h.csv_row({app, std::to_string(nodes), report::fixed(speedup, 4)});
   };
 
   // LINPACK: ratio of reported GFlop/s.

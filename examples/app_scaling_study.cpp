@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
       .option("machine", &machine_file,
               "INI machine file replacing CTE-Arm (see examples/machines/)")
       .option("csv", &csv_path, "optional CSV output path");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const Runner run = runner_for(app);
   if (!run) {

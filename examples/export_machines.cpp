@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   std::string dir = ".";
   Cli cli("export_machines", "write the built-in machines as INI files");
   cli.option("dir", &dir, "output directory");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const struct {
     const char* file;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.option("ranks", &ranks, "number of simulated ranks")
       .option("trace", &trace_path,
               "write a Chrome trace (chrome://tracing / Perfetto)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   mpi::WorldOptions options;
   options.machine = arch::cte_arm();

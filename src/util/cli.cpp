@@ -94,6 +94,7 @@ bool Cli::parse(int argc, const char* const* argv) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       print_help();
+      help_ = true;
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
@@ -103,23 +104,21 @@ bool Cli::parse(int argc, const char* const* argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
-    std::string name;
+    const std::string name = arg.substr(0, eq);
     std::string value;
-    bool have_value = false;
     if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
       value = arg.substr(eq + 1);
-      have_value = true;
     } else {
-      name = arg;
-      auto it = opts_.find(name);
-      const bool is_bool = it != opts_.end() && it->second.kind == Kind::kBool;
-      if (!is_bool && i + 1 < argc) {
+      const auto it = opts_.find(name);
+      if (it != opts_.end() && it->second.kind != Kind::kBool) {
+        if (i + 1 == argc) {
+          std::fprintf(stderr, "%s: option --%s needs a value\n",
+                       program_.c_str(), name.c_str());
+          return false;
+        }
         value = argv[++i];
-        have_value = true;
       }
     }
-    if (!have_value) value = "";
     if (!assign(name, value)) return false;
   }
   return true;

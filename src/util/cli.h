@@ -1,7 +1,8 @@
 // Tiny command-line flag parser for the bench harnesses and examples.
 //
 // Supports --name=value and --name value forms, plus bare --flag for bools.
-// Unknown flags are an error (catches typos in sweep scripts).
+// Unknown flags and a non-bool option without a value are errors (catches
+// typos in sweep scripts).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,13 @@ class Cli {
   Cli& option(const std::string& name, std::string* value,
               const std::string& help);
 
-  /// Parse argv. Returns false (after printing a message) on error or when
-  /// --help was requested; the caller should exit(0) in that case.
+  /// Parse argv. Returns false (after printing the help or an error
+  /// message) when the program should stop and exit with exit_status().
   bool parse(int argc, const char* const* argv);
+
+  /// Exit status after parse() returned false: 0 after --help, 2 after a
+  /// command-line error.
+  int exit_status() const { return help_ ? 0 : 2; }
 
   void print_help() const;
 
@@ -47,6 +52,7 @@ class Cli {
   std::string description_;
   std::map<std::string, Opt> opts_;
   std::vector<std::string> order_;
+  bool help_ = false;
 };
 
 }  // namespace ctesim

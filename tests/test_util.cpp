@@ -180,6 +180,29 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   EXPECT_FALSE(cli.parse(2, bad1));
   const char* bad2[] = {"prog", "--n=abc"};
   EXPECT_FALSE(cli.parse(2, bad2));
+  EXPECT_NE(cli.exit_status(), 0);
+  // A non-bool option with nothing after it is an error, not an empty value.
+  std::string path = "unset";
+  cli.option("csv", &path, "path");
+  const char* missing[] = {"prog", "--csv"};
+  EXPECT_FALSE(cli.parse(2, missing));
+  EXPECT_NE(cli.exit_status(), 0);
+  EXPECT_EQ(path, "unset");
+  const char* missing_int[] = {"prog", "--n"};
+  EXPECT_FALSE(cli.parse(2, missing_int));
+  EXPECT_NE(cli.exit_status(), 0);
+  // An explicit empty value is still a value.
+  const char* empty[] = {"prog", "--csv="};
+  EXPECT_TRUE(cli.parse(2, empty));
+  EXPECT_EQ(path, "");
+  // --help stops the program too, but successfully.
+  Cli help("prog", "test");
+  const char* want_help[] = {"prog", "--help"};
+  testing::internal::CaptureStdout();
+  EXPECT_FALSE(help.parse(2, want_help));
+  EXPECT_NE(testing::internal::GetCapturedStdout().find("Options:"),
+            std::string::npos);
+  EXPECT_EQ(help.exit_status(), 0);
 }
 
 TEST(Csv, WritesEscapedRows) {

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       .option("deadline-ms", &deadline_ms,
               "queue-wait deadline in ms (0 = none)")
       .option("repeat", &repeat, "send the request this many times");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   if (port <= 0 || port > 65535) {
     std::fprintf(stderr, "ctesim_client: --port is required (1..65535)\n");

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       .option("policy", &policy, "admission queue policy: easy | fcfs")
       .option("trace", &trace_path,
               "write a merged Chrome trace here on shutdown");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   if (workers < 1 || workers > 256) {
     std::fprintf(stderr, "ctesim_server: --workers must be in [1,256]\n");
