@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -26,12 +27,22 @@ class Harness {
   Cli& cli() { return cli_; }
 
   /// Adds --csv and parses argv. Returns false when main should return
-  /// exit_status(): 0 after --help, nonzero after a command-line error.
+  /// exit_status(): 0 after --help, 2 after a command-line error, 1 when
+  /// the --csv file cannot be written (found here, before any work).
   bool parse(int argc, char** argv) {
     cli_.option("csv", &csv_path_, "write the series as CSV to this path");
-    return cli_.parse(argc, argv);
+    if (!cli_.parse(argc, argv)) return false;
+    if (!csv_path_.empty() && !std::ofstream(csv_path_)) {
+      std::fprintf(stderr, "%s: cannot write --csv file '%s'\n",
+                   cli_.program().c_str(), csv_path_.c_str());
+      csv_unwritable_ = true;
+      return false;
+    }
+    return true;
   }
-  int exit_status() const { return cli_.exit_status(); }
+  int exit_status() const {
+    return csv_unwritable_ ? 1 : cli_.exit_status();
+  }
 
   static void banner(const char* id, const char* title) {
     std::printf("=== %s — %s ===\n", id, title);
@@ -56,6 +67,7 @@ class Harness {
  private:
   Cli cli_;
   std::string csv_path_;
+  bool csv_unwritable_ = false;
   std::unique_ptr<CsvWriter> csv_;
 };
 

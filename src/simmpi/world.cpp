@@ -168,10 +168,11 @@ sim::Task<> run_rank(World::RankFn body, Rank* rank) {
 
 /// Every rank of a scheduled collective parks in `enter` with no event and
 /// no message. The last one in evaluates the rounds as a max-plus
-/// recurrence over (time, span) and schedules one wake per rank at its
-/// exit time. That is exact because, without congestion, a message's
-/// timing depends only on (src, dst, bytes, send time) and every rank's
-/// exit depends on every rank's entry (docs/ENGINE.md section 9).
+/// recurrence over (time, span) from each rank's clock, moves each rank's
+/// clock to its exit time and schedules one wake per rank there. That is
+/// exact because, without congestion, a message's timing depends only on
+/// (src, dst, bytes, send time) and every rank's exit depends on every
+/// rank's entry (docs/ENGINE.md section 9).
 struct World::Collectives {
   /// One (group context, op)'s call in progress, indexed by vrank.
   struct Pending {
@@ -184,7 +185,7 @@ struct World::Collectives {
 
   /// The awaiter a rank parks on.
   struct Entry {
-    World* world;
+    Rank* rank;
     const Group* group;
     const Rounds* rounds;
     CollOp op;
@@ -193,9 +194,10 @@ struct World::Collectives {
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      world->collectives_->enter(*world, *this, h);
+      World& world = *rank->world_;
+      world.collectives_->enter(world, *this, h);
     }
-    void await_resume() const noexcept {}
+    void await_resume() const { rank->check_clock(); }
   };
   // A co_await temporary: core/task.h's GCC 12 constraint.
   static_assert(std::is_trivially_destructible_v<Entry>);
@@ -229,7 +231,7 @@ void World::Collectives::enter(World& world, const Entry& entry,
   // Every rank must run the same algorithm, as the message path needs.
   CTESIM_EXPECTS(call.rounds->same_as(*entry.rounds));
   const auto v = static_cast<std::size_t>(entry.vrank);
-  call.entry[v] = world.engine_.now();
+  call.entry[v] = entry.rank->clock_;
   call.bytes[v] = entry.bytes;
   call.parked[v] = h;
   if (++call.entered < p) return;
@@ -277,9 +279,12 @@ void World::Collectives::evaluate(World& world, const Group& group,
     }
     time.swap(next);
   }
-  // Every exit is at or after the last entry (now): each rank's exit
-  // depends on every rank's entry. Ties resume in vrank order.
+  // Every exit is at or after the latest entry, which is at or after the
+  // engine's now: each rank's exit depends on every rank's entry. Ties
+  // resume in vrank order.
   for (std::size_t v = 0; v < n; ++v) {
+    world.ranks_[static_cast<std::size_t>(group.global(static_cast<int>(v)))]
+        ->clock_ = time[v];
     const std::coroutine_handle<> h = call.parked[v];
     auto resume = [h] { h.resume(); };
     world.engine_.schedule_at(time[v], std::move(resume));
@@ -384,7 +389,9 @@ double World::run(const RankFn& body) {
         std::to_string(engine_.unfinished_processes()) +
         " ranks blocked, e.g. a receive with no matching send)");
   }
-  return sim::to_seconds(engine_.now());
+  sim::Time end = engine_.now();
+  for (const auto& rank : ranks_) end = std::max(end, rank->clock_);
+  return sim::to_seconds(end);
 }
 
 void World::add_phase_time(int rank, const std::string& phase,
@@ -456,10 +463,9 @@ World::Delivery World::delivery(int src, int dst, std::uint64_t bytes,
 
 World::Delivery Rank::deposit(int dst, std::uint64_t bytes, int tag) {
   CTESIM_EXPECTS(dst >= 0 && dst < size());
-  const sim::Time now = world_->engine_.now();
-  const World::Delivery d = world_->delivery(id_, dst, bytes, now);
+  const World::Delivery d = world_->delivery(id_, dst, bytes, clock_);
   world_->mailbox(dst, id_, tag).push(Message{bytes, d.arrival}, d.arrival);
-  world_->record(id_, now, d.sender_done, "send", "", bytes, dst);
+  world_->record(id_, clock_, d.sender_done, "send", "", bytes, dst);
   return d;
 }
 
@@ -491,7 +497,7 @@ bool P2P::await_ready() {
   for (int i = 0; i < num_srcs_; ++i) {
     CTESIM_EXPECTS(src(i) >= 0 && src(i) < rank_->size());
   }
-  recv_start_ = latest_send_ = rank_->world_->engine_.now();
+  recv_start_ = latest_send_ = rank_->clock_;
   for (int i = 0; i < num_dsts_; ++i) {
     const World::Delivery d = rank_->deposit(dst(i), bytes_, tag_);
     latest_send_ = std::max(latest_send_, d.sender_done);
@@ -527,13 +533,19 @@ void P2P::on_handoff(sim::Channel<Message>::Waiter& waiter) {
 }
 
 bool P2P::finish() {
-  sim::Engine& engine = rank_->world_->engine_;
+  World& world = *rank_->world_;
   const sim::Time done = std::max(recv_start_, latest_send_);
-  if (done > engine.now()) {
-    engine.schedule_at(done, [this] { handle.resume(); });
+  rank_->clock_ = done;
+  if (world.must_sleep_until(done)) {
+    world.engine_.schedule_at(done, [this] { handle.resume(); });
     return false;
   }
   return true;
+}
+
+std::uint64_t P2P::await_resume() const {
+  rank_->check_clock();
+  return value ? value->bytes : 0;
 }
 
 // ---------------------------------------------------------- collectives --
@@ -555,7 +567,7 @@ sim::Task<> Rank::collective(const Group& group, int op,
   if (!world_->congestion_) {
     // CongestionModel::transfer_at books links in call order, so only a
     // congestion-free World may compute the rounds ahead of the clock.
-    co_await World::Collectives::Entry{world_, &group, &rounds, coll_op, me,
+    co_await World::Collectives::Entry{this, &group, &rounds, coll_op, me,
                                        bytes};
     co_return;
   }
@@ -743,16 +755,16 @@ sim::Task<> Rank::compute(const roofline::KernelSig& sig, double elems) {
     auto& rng = world_->jitter_[static_cast<std::size_t>(id_)];
     seconds *= 1.0 + world_->options_.compute_jitter * std::fabs(rng.normal());
   }
-  const sim::Time t0 = world_->engine_.now();
-  co_await world_->engine_.delay(sim::from_seconds(seconds));
-  world_->record(id_, t0, world_->engine_.now(), "compute", sig.name, 0, -1);
+  const sim::Time t0 = clock_;
+  co_await advance_to(t0 + sim::from_seconds(seconds));
+  world_->record(id_, t0, clock_, "compute", sig.name, 0, -1);
 }
 
 sim::Task<> Rank::compute_seconds(double seconds) {
   CTESIM_EXPECTS(seconds >= 0.0);
-  const sim::Time t0 = world_->engine_.now();
-  co_await world_->engine_.delay(sim::from_seconds(seconds));
-  world_->record(id_, t0, world_->engine_.now(), "compute", "fixed", 0, -1);
+  const sim::Time t0 = clock_;
+  co_await advance_to(t0 + sim::from_seconds(seconds));
+  world_->record(id_, t0, clock_, "compute", "fixed", 0, -1);
 }
 
 }  // namespace ctesim::mpi

@@ -7,6 +7,15 @@
 // otherwise evaluated as one max-plus schedule once the last rank enters
 // (docs/ENGINE.md section 9).
 //
+// Every rank keeps its own simulated clock (Rank::now), at or after the
+// engine's. Compute, wait and a receive whose messages are already queued
+// move only that clock; the engine dispatches hand-offs to blocked
+// receives, collective wakes and spawns, so its clock may lag rank time.
+// Without congestion a rank's timing depends only on its own program and
+// on message arrival times, so results do not depend on which rank runs
+// first. A congested World keeps every running rank's clock equal to the
+// engine's (docs/ENGINE.md section 10).
+//
 // A World is one-shot: construct, run(), read results. The simulation is
 // deterministic for a fixed (options, placement, body).
 #pragma once
@@ -33,6 +42,7 @@
 #include "roofline/exec_model.h"
 #include "simmpi/placement.h"
 #include "trace/recorder.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace ctesim::mpi {
@@ -127,6 +137,11 @@ class World {
   const Placement& placement() const { return placement_; }
   const arch::MachineModel& machine() const { return options_.machine; }
   net::Network& network() { return network_; }
+  /// The event engine. Its clock may lag rank time: it moves only at the
+  /// events a World still dispatches (hand-offs to blocked receives,
+  /// collective wakes, spawns), so a rank reads its time from Rank::now
+  /// and spends time through Rank's calls, never by sleeping on the
+  /// engine itself.
   sim::Engine& engine() { return engine_; }
   const roofline::ExecModel& exec() const { return exec_; }
 
@@ -177,6 +192,13 @@ class World {
   /// by Rank::deposit and the collective schedules so that both round
   /// alike. Without congestion it is a pure function of its arguments.
   Delivery delivery(int src, int dst, std::uint64_t bytes, sim::Time now);
+  /// True when a rank whose clock has moved to `t` must sleep in the
+  /// engine until `t` before it goes on. Only a congested World sleeps:
+  /// CongestionModel::transfer_at books links in call order, so its
+  /// deposits must happen in simulated-time order.
+  bool must_sleep_until(sim::Time t) const {
+    return congestion_ != nullptr && t > engine_.now();
+  }
   sim::Channel<Message>& mailbox(int dst, int src, int tag);
   void record(int rank, sim::Time start, sim::Time end, const char* kind,
               const char* detail, std::uint64_t bytes, int peer);
@@ -225,14 +247,15 @@ class World {
 /// received (0 for a plain send).
 ///
 /// The receives run on a simulated cursor, `recv_start_`, that starts at
-/// the call's time and may run ahead of the engine clock: each source's
+/// the rank's clock and may run ahead of the engine clock: each source's
 /// recv span is [cursor, max(cursor, arrival)], and the cursor then moves
 /// to its end. A message already queued is consumed at once, with no
 /// event. A source whose message has not been deposited yet parks the
 /// awaiter with `not_before` = cursor, and the deposit's hand-off fires
-/// at max(cursor, arrival), the end of that span. So a call costs one
-/// engine event per source it had to wait for plus at most one final
-/// wake, and every span, simulated time and per-rank record order is
+/// at max(cursor, arrival), the end of that span. The call then moves the
+/// rank's clock to its end without an event (a congested World sleeps
+/// there instead). So a call costs one engine event per source it had to
+/// wait for, and every span, simulated time and per-rank record order is
 /// what a receive that slept until each arrival would produce.
 ///
 /// A small state machine instead of nested sim::Tasks, so a call costs no
@@ -245,9 +268,7 @@ class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
  public:
   bool await_ready();
   void await_suspend(std::coroutine_handle<> h) { handle = h; }
-  std::uint64_t await_resume() const noexcept {
-    return value ? value->bytes : 0;
-  }
+  std::uint64_t await_resume() const;
 
  private:
   friend class Rank;
@@ -309,8 +330,10 @@ class Rank {
   int node() const { return slot().node; }
   World& world() { return *world_; }
 
-  /// Current simulated time, seconds.
-  double now_s() const { return sim::to_seconds(world_->engine_.now()); }
+  /// This rank's simulated clock: at or after the engine's.
+  sim::Time now() const { return clock_; }
+  /// now(), in seconds.
+  double now_s() const { return sim::to_seconds(clock_); }
 
   /// Largest tag usable in point-to-point calls; higher values are
   /// reserved for the collective algorithms' internal messages.
@@ -326,17 +349,24 @@ class Rank {
   /// Nonblocking send: the message is injected immediately; wait() (or any
   /// later await) settles the residual sender-side occupancy.
   Request isend(int dst, std::uint64_t bytes, int tag = 0);
-  /// Awaitable (Engine::delay) until every request's sender-side
-  /// occupancy has passed.
-  auto waitall(std::span<const Request> requests) {
-    sim::Engine& engine = world_->engine_;
-    sim::Time latest = engine.now();
+  /// The awaiter of an advance of this rank's clock (see advance_to).
+  struct [[nodiscard]] Advance {
+    Rank* rank;
+    sim::Time to;
+    bool await_ready() const noexcept;
+    void await_suspend(std::coroutine_handle<> h) const;
+    void await_resume() const { rank->check_clock(); }
+  };
+
+  /// Awaitable until every request's sender-side occupancy has passed.
+  Advance waitall(std::span<const Request> requests) {
+    sim::Time latest = clock_;
     for (const Request& r : requests) {
       latest = std::max(latest, r.complete_at);
     }
-    return engine.delay(latest - engine.now());
+    return advance_to(latest);
   }
-  auto wait(Request request) { return waitall({&request, 1}); }
+  Advance wait(Request request) { return waitall({&request, 1}); }
   /// Post sends to all neighbors, then receive one message from each —
   /// the halo-exchange pattern every domain-decomposed app uses. The span
   /// must reference storage that outlives the await (a named container).
@@ -390,8 +420,21 @@ class Rank {
   friend class P2P;
   Rank(World& world, int id) : world_(&world), id_(id) {}
 
-  /// Time the message (World::delivery), enqueue it at the destination
-  /// and record its send span.
+  /// Move the clock to `t` (>= now()) when awaited: no engine event,
+  /// unless the World must sleep until `t` (World::must_sleep_until).
+  Advance advance_to(sim::Time t) {
+    CTESIM_EXPECTS(t >= clock_);
+    return Advance{this, t};
+  }
+  /// The rank-clock invariant, checked on every resume (CTESIM_CHECKS;
+  /// a violation throws into the rank, and World::run rethrows it).
+  void check_clock() const {
+    CTESIM_DCHECK(clock_ >= world_->engine_.now(),
+                  "a rank's clock must never lag the engine's");
+  }
+
+  /// Time the message (World::delivery) at the rank's clock, enqueue it
+  /// at the destination and record its send span.
   World::Delivery deposit(int dst, std::uint64_t bytes, int tag);
 
   /// An unrooted collective (`op` indexes world.cpp's CollOp): its rounds
@@ -401,6 +444,19 @@ class Rank {
 
   World* world_;
   int id_;
+  sim::Time clock_ = 0;
 };
+// A co_await temporary: core/task.h's GCC 12 constraint.
+static_assert(std::is_trivially_destructible_v<Rank::Advance>);
+
+inline bool Rank::Advance::await_ready() const noexcept {
+  rank->clock_ = to;
+  return !rank->world_->must_sleep_until(to);
+}
+
+inline void Rank::Advance::await_suspend(std::coroutine_handle<> h) const {
+  auto resume = [h] { h.resume(); };
+  rank->world_->engine_.schedule_at(to, std::move(resume));
+}
 
 }  // namespace ctesim::mpi

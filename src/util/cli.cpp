@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "util/check.h"
 
@@ -111,7 +112,9 @@ bool Cli::parse(int argc, const char* const* argv) {
     } else {
       const auto it = opts_.find(name);
       if (it != opts_.end() && it->second.kind != Kind::kBool) {
-        if (i + 1 == argc) {
+        // A following flag is not a value: `--csv --help` must not write
+        // a file named "--help". `--csv=--help` still can.
+        if (i + 1 == argc || std::string_view(argv[i + 1]).starts_with("--")) {
           std::fprintf(stderr, "%s: option --%s needs a value\n",
                        program_.c_str(), name.c_str());
           return false;

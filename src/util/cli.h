@@ -2,7 +2,8 @@
 //
 // Supports --name=value and --name value forms, plus bare --flag for bools.
 // Unknown flags and a non-bool option without a value are errors (catches
-// typos in sweep scripts).
+// typos in sweep scripts); in the `--name value` form a value may not start
+// with "--", so a flag is never taken for one.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@ class Cli {
   int exit_status() const { return help_ ? 0 : 2; }
 
   void print_help() const;
+  const std::string& program() const { return program_; }
 
  private:
   enum class Kind { kBool, kInt, kDouble, kString };

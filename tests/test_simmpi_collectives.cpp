@@ -215,7 +215,7 @@ Outcome run_script(const Script& script, bool oracle) {
           co_await library_call(r, g, call);
         }
       }
-      exits.push_back(r.world().engine().now());
+      exits.push_back(r.now());
       if (script.p2p) co_await r.exchange(ring, 2048, /*tag=*/1);
     }
   });

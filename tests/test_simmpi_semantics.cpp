@@ -3,10 +3,12 @@
 // the cost attribution relies on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "arch/configs.h"
+#include "roofline/kernel_library.h"
 #include "simmpi/world.h"
 #include "util/check.h"
 
@@ -211,7 +213,7 @@ TEST(P2P, RecvPostedBeforeOrAfterItsSendMatchesTheSame) {
       } else {
         const std::uint64_t got = co_await r.recv(sender, 3);
         EXPECT_EQ(got, 4096u);
-        out.receiver_done = r.world().engine().now();
+        out.receiver_done = r.now();
       }
     });
     out.sender = message_spans(world, sender);
@@ -282,7 +284,7 @@ HubOutcome late_deposit_early_arrival(int hub, int first, int second) {
   world.run([&](Rank& r) -> sim::Task<> {
     if (r.id() == hub) {
       co_await r.exchange(neighbours, 64);
-      out.hub_done = r.world().engine().now();
+      out.hub_done = r.now();
     } else if (r.id() == first) {
       co_await r.exchange(just_hub, 8 << 20);
     } else {
@@ -310,16 +312,17 @@ TEST(P2P, LaterDepositedEarlierArrivalStartsAtThePreviousSpanEnd) {
   EXPECT_EQ(out.recvs[1].start, out.recvs[0].end);
   EXPECT_EQ(out.recvs[1].end, out.recvs[0].end);
   EXPECT_EQ(out.hub_done, out.recvs[0].end);
-  // 3 spawns; hub: 1 hand-off that also resumes it; rank 1: 1 wake at its
-  // own rendezvous send's end; rank 2: the compute delay, then 1 wake.
-  EXPECT_EQ(out.events, 7u);
+  // 3 spawns and the hub's 1 hand-off, which also resumes it. Rank 1 finds
+  // the hub's message queued and moves its own clock to its rendezvous
+  // send's end; rank 2's compute and its call move only its clock.
+  EXPECT_EQ(out.events, 4u);
 }
 
 TEST(P2P, SourceDepositedAfterTheCursorMovedAheadWakesAtTheCursor) {
   // Hub 2 runs after rank 0 has sent, so it consumes the 8 MiB message at
   // t = 0 and its cursor jumps to that arrival. Rank 1's 64 bytes are
-  // deposited at 1 us and arrive long before the cursor: the hand-off
-  // must wait for the cursor, and the hub resumes there, once.
+  // deposited at 1 us and arrive long before the cursor, so their recv
+  // span is empty, at the cursor, and the hub resumes there.
   const HubOutcome out = late_deposit_early_arrival(2, 0, 1);
   ASSERT_EQ(out.recvs.size(), 2u);
   EXPECT_EQ(out.recvs[0].peer, 0);
@@ -329,10 +332,54 @@ TEST(P2P, SourceDepositedAfterTheCursorMovedAheadWakesAtTheCursor) {
   EXPECT_EQ(out.recvs[1].start, out.recvs[0].end);
   EXPECT_EQ(out.recvs[1].end, out.recvs[0].end);
   EXPECT_EQ(out.hub_done, out.recvs[0].end);
-  // 3 spawns; rank 0: the hub's hand-off, then a wake at its rendezvous
-  // send's end; rank 1: the compute delay, then 1 wake; hub: 1 hand-off
-  // at the cursor that also resumes it.
-  EXPECT_EQ(out.events, 8u);
+  // 3 spawns and 2 hand-offs, the hub's messages to ranks 0 and 1, which
+  // parked on it. Rank 1's compute moves only its clock, so it deposits
+  // before the hub runs and the hub finds both messages queued; the next
+  // test makes the hub park and take its hand-off at the cursor.
+  EXPECT_EQ(out.events, 5u);
+}
+
+TEST(P2P, SourceBlockedUntilTheHubParkedWakesItAtTheCursor) {
+  // Hub 2 consumes rank 0's queued 8 MiB at once, so its cursor jumps to
+  // their arrival, and parks on rank 1. Rank 1 deposits its 64 bytes only
+  // after the hub's 8-byte message is handed to it: they arrive long
+  // before the cursor, so their hand-off waits for the cursor and resumes
+  // the hub there.
+  World world(traced_options(),
+              Placement::per_node(arch::cte_arm().node, 3));
+  const std::vector<int> hub_peers{0, 1};
+  const std::vector<int> just_hub{2};
+  sim::Time hub_done = -1;
+  world.run([&](Rank& r) -> sim::Task<> {
+    if (r.id() == 2) {
+      co_await r.send(1, 8, /*tag=*/5);
+      co_await r.exchange(hub_peers, 64);
+      hub_done = r.now();
+    } else if (r.id() == 0) {
+      co_await r.exchange(just_hub, 8 << 20);
+    } else {
+      co_await r.recv(2, /*tag=*/5);
+      co_await r.exchange(just_hub, 64);
+    }
+  });
+  std::vector<trace::Span> recvs;
+  for (const trace::Span& s : message_spans(world, 2)) {
+    if (s.name == "recv") recvs.push_back(s);
+  }
+  const std::vector<trace::Span> late = message_spans(world, 1);
+  ASSERT_EQ(recvs.size(), 2u);
+  ASSERT_EQ(late.size(), 3u);  // recv, then the exchange's send and recv
+  EXPECT_EQ(recvs[0].peer, 0);
+  EXPECT_EQ(recvs[1].peer, 1);
+  EXPECT_GT(recvs[0].end, sim::from_seconds(100e-6));
+  EXPECT_EQ(late[1].name, "send");
+  EXPECT_LT(late[1].end, sim::from_seconds(10e-6));
+  EXPECT_EQ(recvs[1].start, recvs[0].end);
+  EXPECT_EQ(recvs[1].end, recvs[0].end);
+  EXPECT_EQ(hub_done, recvs[0].end);
+  // 3 spawns; the hand-offs to rank 1 (tag 5) and to rank 0 (the hub's
+  // 64 bytes); rank 1's to the hub at the cursor, which resumes it.
+  EXPECT_EQ(world.engine().events_processed(), 6u);
 }
 
 TEST(P2P, RendezvousSendrecvSettlesAfterItsRecv) {
@@ -344,7 +391,7 @@ TEST(P2P, RendezvousSendrecvSettlesAfterItsRecv) {
   world.run([&](Rank& r) -> sim::Task<> {
     if (r.id() == 0) {
       co_await r.sendrecv(1, 8 << 20, 1);
-      done = r.world().engine().now();
+      done = r.now();
     } else {
       co_await r.sendrecv(0, 8, 0);
     }
@@ -369,11 +416,18 @@ TEST(P2P, BadThirdNeighbourThrowsBeforeAnyDeposit) {
 }
 
 TEST(P2P, RingExchangeEventCountIsPinned) {
-  // 384 ranks, 10 steps of ring exchange + allreduce(8): 384 spawns, then
-  // per step one event per blocked exchange receive, at the time its rank
-  // can continue, and one wake per rank for the scheduled allreduce, which
-  // sends no message. The pin catches any extra wake-up (docs/ENGINE.md
-  // sections 7 and 9 have the history: 44 998, then 29 853).
+  // 384 ranks, 10 steps of ring exchange + allreduce(8): 384 spawns, one
+  // wake per rank per scheduled allreduce (3840), which sends no message,
+  // and one hand-off per blocked exchange receive (3713), at the time its
+  // rank can continue. In step 0 ranks start in id order, and every rank
+  // but the last parks once, on a neighbour spawned after it (383). In
+  // each later step a receive parks when its neighbour, which deposits as
+  // soon as it leaves the allreduce, has not had its wake dispatched yet:
+  // 3330 over steps 1 to 9 (369 to 371 a step, as the network jitter
+  // orders the exit times). A receive
+  // whose message is queued, and the end of a call, move only the rank's
+  // clock. The pin catches any extra wake-up (docs/ENGINE.md sections 7,
+  // 9 and 10 have the history: 44 998, 29 853, then 8070).
   WorldOptions options;
   options.machine = arch::cte_arm();
   World world(std::move(options),
@@ -386,7 +440,33 @@ TEST(P2P, RingExchangeEventCountIsPinned) {
       co_await rank.allreduce(8);
     }
   });
-  EXPECT_EQ(world.engine().events_processed(), 8070u);
+  EXPECT_EQ(world.engine().events_processed(), 7937u);
+}
+
+TEST(Clock, ComputeOnlyWorldDispatchesOnlyItsSpawns) {
+  // Compute moves only the rank's clock: 384 ranks of jittered compute
+  // dispatch exactly their 384 spawns (3584 when every nonzero compute
+  // was an engine delay), and the makespan is the one those delays gave.
+  constexpr int kRanks = 384;
+  WorldOptions options;
+  options.machine = arch::cte_arm();
+  options.compute_jitter = 0.05;
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, kRanks));
+  std::vector<sim::Time> ends(kRanks, -1);
+  const double makespan = world.run([&](Rank& r) -> sim::Task<> {
+    for (int i = 0; i < 5; ++i) {
+      co_await r.compute(roofline::kernels::stream_triad(),
+                         1e4 * (1 + r.id() % 7));
+      co_await r.compute_seconds(1e-6 * (r.id() % 3));
+    }
+    ends[static_cast<std::size_t>(r.id())] = r.now();
+  });
+  EXPECT_EQ(world.engine().events_processed(),
+            static_cast<std::uint64_t>(kRanks));
+  EXPECT_EQ(sim::from_seconds(makespan), 812'795'069);
+  EXPECT_EQ(sim::from_seconds(makespan),
+            *std::max_element(ends.begin(), ends.end()));
 }
 
 }  // namespace

@@ -191,6 +191,22 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   const char* missing_int[] = {"prog", "--n"};
   EXPECT_FALSE(cli.parse(2, missing_int));
   EXPECT_NE(cli.exit_status(), 0);
+  // A following flag is not a value: neither --help nor another option is
+  // taken as the path, and both are errors, not help.
+  const char* flag_as_value[] = {"prog", "--csv", "--help"};
+  EXPECT_FALSE(cli.parse(3, flag_as_value));
+  EXPECT_EQ(cli.exit_status(), 2);
+  EXPECT_EQ(path, "unset");
+  const char* option_as_value[] = {"prog", "--csv", "--n", "5"};
+  EXPECT_FALSE(cli.parse(4, option_as_value));
+  EXPECT_EQ(cli.exit_status(), 2);
+  EXPECT_EQ(path, "unset");
+  EXPECT_EQ(n, 0);
+  // The --name=value form takes any value, and "-5" is a value.
+  const char* joined[] = {"prog", "--csv=--odd", "--n", "-5"};
+  EXPECT_TRUE(cli.parse(4, joined));
+  EXPECT_EQ(path, "--odd");
+  EXPECT_EQ(n, -5);
   // An explicit empty value is still a value.
   const char* empty[] = {"prog", "--csv="};
   EXPECT_TRUE(cli.parse(2, empty));
