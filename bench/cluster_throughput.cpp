@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
       .option("seed", &seed, "workload + placement seed")
       .option("interarrival", &interarrival,
               "mean inter-arrival gap in seconds (lower = busier)")
-      .option("queue", &queue_name, "queue policy: easy | fcfs")
-      .option("trace", &trace_path,
-              "write a Chrome trace (chrome://tracing / Perfetto) of the "
-              "contiguous-placement run to this path");
+      .option("queue", &queue_name, "queue policy: easy | fcfs");
+  h.trace_option(&trace_path,
+                 "write a Chrome trace (chrome://tracing / Perfetto) of the "
+                 "contiguous-placement run to this path");
   if (!h.parse(argc, argv)) return h.exit_status();
   if (queue_name != "easy" && queue_name != "fcfs") {
     std::fprintf(stderr, "cluster_throughput: --queue must be easy or fcfs, got '%s'\n",

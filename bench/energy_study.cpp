@@ -71,10 +71,10 @@ int main(int argc, char** argv) {
                    "energy-to-solution and EDP vs DVFS state and workload mix");
   h.cli()
       .option("jobs", &jobs, "number of jobs in the stream")
-      .option("seed", &seed, "workload + placement seed")
-      .option("trace", &trace_path,
-              "write a Chrome trace (power counters included) of the "
-              "power-capped mixed run to this path");
+      .option("seed", &seed, "workload + placement seed");
+  h.trace_option(&trace_path,
+                 "write a Chrome trace (power counters included) of the "
+                 "power-capped mixed run to this path");
   if (!h.parse(argc, argv)) return h.exit_status();
   if (jobs < 1) {
     std::fprintf(stderr, "energy_study: --jobs must be >= 1, got %lld\n",

@@ -18,8 +18,8 @@ using namespace ctesim;
 int main(int argc, char** argv) {
   bench::Harness h("fig11_nemo", "NEMO scalability");
   std::string trace_path;
-  h.cli().option(
-      "trace", &trace_path,
+  h.trace_option(
+      &trace_path,
       "write a Chrome trace of the 8-node CTE-Arm run to this path");
   if (!h.parse(argc, argv)) return h.exit_status();
   h.banner("Fig. 11", "NEMO: scalability (BENCH @ ORCA1)");

@@ -17,8 +17,8 @@ using namespace ctesim;
 int main(int argc, char** argv) {
   bench::Harness h("fig8_alya_timestep", "Alya average time step");
   std::string trace_path;
-  h.cli().option(
-      "trace", &trace_path,
+  h.trace_option(
+      &trace_path,
       "write a Chrome trace of the 12-node CTE-Arm run to this path");
   if (!h.parse(argc, argv)) return h.exit_status();
   h.banner("Fig. 8", "Alya: average time step (TestCaseB)");

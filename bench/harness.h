@@ -1,6 +1,6 @@
 // The driver every figure, table, ablation and study main goes through: the
-// command line (--csv plus the main's own options), the banner, the CSV
-// export and the paper's two-machine log-log scalability chart. Each main
+// command line (--csv, --trace and the main's own options), the banner, the
+// CSV export and the paper's two-machine log-log scalability chart. Each main
 // keeps its own model calls, table layout and headline text.
 #pragma once
 
@@ -26,23 +26,25 @@ class Harness {
   /// The main's own options; register them before parse().
   Cli& cli() { return cli_; }
 
+  /// Registers --trace (a Chrome trace written to `*path` after the run),
+  /// whose path parse() checks like --csv's.
+  Cli& trace_option(std::string* path, const char* help) {
+    trace_path_ = path;
+    return cli_.option("trace", path, help);
+  }
+
   /// Adds --csv and parses argv. Returns false when main should return
   /// exit_status(): 0 after --help, 2 after a command-line error, 1 when
-  /// the --csv file cannot be written (found here, before any work).
+  /// the --csv or --trace file cannot be written (found here, before any
+  /// work).
   bool parse(int argc, char** argv) {
     cli_.option("csv", &csv_path_, "write the series as CSV to this path");
     if (!cli_.parse(argc, argv)) return false;
-    if (!csv_path_.empty() && !std::ofstream(csv_path_)) {
-      std::fprintf(stderr, "%s: cannot write --csv file '%s'\n",
-                   cli_.program().c_str(), csv_path_.c_str());
-      csv_unwritable_ = true;
-      return false;
-    }
-    return true;
+    unwritable_ = !writable("csv", csv_path_) ||
+                  (trace_path_ && !writable("trace", *trace_path_));
+    return !unwritable_;
   }
-  int exit_status() const {
-    return csv_unwritable_ ? 1 : cli_.exit_status();
-  }
+  int exit_status() const { return unwritable_ ? 1 : cli_.exit_status(); }
 
   static void banner(const char* id, const char* title) {
     std::printf("=== %s — %s ===\n", id, title);
@@ -65,9 +67,17 @@ class Harness {
   }
 
  private:
+  bool writable(const char* option, const std::string& path) const {
+    if (path.empty() || std::ofstream(path)) return true;
+    std::fprintf(stderr, "%s: cannot write --%s file '%s'\n",
+                 cli_.program().c_str(), option, path.c_str());
+    return false;
+  }
+
   Cli cli_;
   std::string csv_path_;
-  bool csv_unwritable_ = false;
+  std::string* trace_path_ = nullptr;
+  bool unwritable_ = false;
   std::unique_ptr<CsvWriter> csv_;
 };
 

@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
                    "goodput vs node MTBF and checkpoint interval on CTE-Arm");
   h.cli()
       .option("jobs", &jobs, "number of jobs in the stream")
-      .option("seed", &seed, "workload + fault-script seed")
-      .option("trace", &trace_path,
-              "write a Chrome trace of the 6h-MTBF / Young-Daly run "
-              "(failures, drains, requeues) to this path");
+      .option("seed", &seed, "workload + fault-script seed");
+  h.trace_option(&trace_path,
+                 "write a Chrome trace of the 6h-MTBF / Young-Daly run "
+                 "(failures, drains, requeues) to this path");
   if (!h.parse(argc, argv)) return h.exit_status();
   if (jobs < 1) {
     std::fprintf(stderr, "resilience_study: --jobs must be >= 1, got %lld\n",

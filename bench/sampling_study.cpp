@@ -60,9 +60,9 @@ int main(int argc, char** argv) {
   h.cli()
       .option("nemo-steps", &nemo_steps, "NEMO full-run length (time steps)")
       .option("wrf-steps", &wrf_steps, "WRF full-run length (time steps)")
-      .option("seed", &seed, "sampling plan seed")
-      .option("trace", &trace_path,
-              "write a Chrome trace of one sampled run to this path")
+      .option("seed", &seed, "sampling plan seed");
+  h.trace_option(&trace_path,
+                 "write a Chrome trace of one sampled run to this path")
       .flag("check", &check,
             "exit nonzero if any sampled error exceeds its CI bound");
   if (!h.parse(argc, argv)) return h.exit_status();

@@ -84,20 +84,6 @@ Time Engine::run() {
   return now_;
 }
 
-bool Engine::run_until(Time limit) {
-  CTESIM_EXPECTS(limit >= now_);
-  while (!queue_.empty() && queue_.top_time() <= limit) {
-    Time t;
-    Callback fn = queue_.pop_earliest(t);
-    dispatch(t, fn);
-    reap_finished();
-  }
-  check_failures();
-  const bool drained = queue_.empty();
-  now_ = limit;
-  return drained;
-}
-
 std::size_t Engine::unfinished_processes() const {
   std::size_t unfinished = 0;
   for (const auto& process : processes_) {

@@ -64,10 +64,6 @@ class Engine {
   /// Run until no events remain. Returns the final simulated time.
   Time run();
 
-  /// Run until simulated time would exceed `limit`; remaining events stay
-  /// queued. Returns true if the event queue drained before the limit.
-  bool run_until(Time limit);
-
   /// Awaitable: `co_await engine.delay(dt)` suspends the calling process for
   /// `dt` picoseconds of simulated time.
   auto delay(Time dt) {

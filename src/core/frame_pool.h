@@ -18,7 +18,7 @@
 //     different thread than it was allocated on (which ctesim never does
 //     today) would simply migrate to the freeing thread's pool — safe,
 //     because blocks are plain ::operator new memory either way.
-//   - Task<T>'s promise operator new/delete (core/task.h) route every
+//   - Task's promise operator new/delete (core/task.h) route every
 //     coroutine frame here; nothing else needs to opt in.
 #pragma once
 

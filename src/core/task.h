@@ -1,9 +1,10 @@
 // Coroutine task type for simulated processes.
 //
-// Task<T> is a lazy coroutine: creating it does nothing; it starts when
+// Task<> is a lazy coroutine: creating it does nothing; it starts when
 // awaited (symmetric transfer) or when spawned onto an Engine. A finished
 // task resumes its awaiter, so `co_await subroutine()` composes naturally —
-// exactly how the rooted simulated-MPI collectives use point-to-point.
+// exactly how a rank body awaits the simulated-MPI collectives. A task
+// returns no value; a subroutine reports results through its arguments.
 //
 // COMPILER CONSTRAINT (GCC 12): arguments passed to a coroutine invoked
 // inside a `co_await` expression must be trivially destructible or named
@@ -25,7 +26,8 @@
 
 namespace ctesim::sim {
 
-template <typename T>
+/// Only Task<> (= Task<void>) is defined.
+template <typename T = void>
 class Task;
 
 namespace detail {
@@ -45,7 +47,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct Promise {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
   bool done = false;
@@ -53,6 +55,8 @@ struct PromiseBase {
   std::suspend_always initial_suspend() noexcept { return {}; }
   FinalAwaiter final_suspend() noexcept { return {}; }
   void unhandled_exception() noexcept { exception = std::current_exception(); }
+  Task<void> get_return_object();
+  void return_void() noexcept {}
 
   // Coroutine frames come from the size-bucketed per-thread pool: spawn/
   // resume/destroy of short-lived processes dominates batch and simmpi
@@ -68,43 +72,13 @@ struct PromiseBase {
   }
 };
 
-template <typename T>
-struct Promise : PromiseBase {
-  // Storage without requiring default-constructible T.
-  alignas(T) unsigned char storage[sizeof(T)];
-  bool has_value = false;
-
-  Task<T> get_return_object();
-
-  template <typename U>
-  void return_value(U&& value) {
-    ::new (static_cast<void*>(storage)) T(std::forward<U>(value));
-    has_value = true;
-  }
-
-  T& value() {
-    CTESIM_EXPECTS(has_value);
-    return *reinterpret_cast<T*>(storage);
-  }
-
-  ~Promise() {
-    if (has_value) reinterpret_cast<T*>(storage)->~T();
-  }
-};
-
-template <>
-struct Promise<void> : PromiseBase {
-  Task<void> get_return_object();
-  void return_void() noexcept {}
-};
-
 }  // namespace detail
 
-/// An owning handle to a lazy coroutine computing a T.
-template <typename T = void>
-class [[nodiscard]] Task {
+/// An owning handle to a lazy coroutine.
+template <>
+class [[nodiscard]] Task<void> {
  public:
-  using promise_type = detail::Promise<T>;
+  using promise_type = detail::Promise;
   using Handle = std::coroutine_handle<promise_type>;
 
   Task() = default;
@@ -153,12 +127,9 @@ class [[nodiscard]] Task {
       return handle;  // symmetric transfer into the child task
     }
 
-    T await_resume() {
+    void await_resume() const {
       if (handle.promise().exception) {
         std::rethrow_exception(handle.promise().exception);
-      }
-      if constexpr (!std::is_void_v<T>) {
-        return std::move(handle.promise().value());
       }
     }
   };
@@ -179,17 +150,8 @@ class [[nodiscard]] Task {
   Handle handle_;
 };
 
-namespace detail {
-
-template <typename T>
-Task<T> Promise<T>::get_return_object() {
-  return Task<T>(std::coroutine_handle<Promise<T>>::from_promise(*this));
+inline Task<void> detail::Promise::get_return_object() {
+  return Task<void>(std::coroutine_handle<Promise>::from_promise(*this));
 }
-
-inline Task<void> Promise<void>::get_return_object() {
-  return Task<void>(std::coroutine_handle<Promise<void>>::from_promise(*this));
-}
-
-}  // namespace detail
 
 }  // namespace ctesim::sim

@@ -18,12 +18,9 @@ constexpr int kMaxContexts = 4096;
 enum CollOp {
   kOpBarrier = 0,
   kOpBcast,
-  kOpReduce,
   kOpAllreduce,
   kOpAllgather,
   kOpAlltoall,
-  kOpGather,
-  kOpScatter,
   kOpReduceScatter,
 };
 
@@ -82,7 +79,7 @@ class Rounds {
         count_ = p - 1;
         break;
       default:
-        CTESIM_EXPECTS(op == kOpReduceScatter);  // rooted ones have none
+        CTESIM_EXPECTS(op == kOpReduceScatter);  // bcast has none
         if ((p & (p - 1)) == 0) {
           // Pairwise halving: log2(p) rounds, each exchanging half the
           // remaining buffer.
@@ -486,11 +483,6 @@ P2P Rank::exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
   return P2P(*this, bytes_each, tag).neighbors(neighbors);
 }
 
-Request Rank::isend(int dst, std::uint64_t bytes, int tag) {
-  const World::Delivery d = deposit(dst, bytes, tag);
-  return Request{d.sender_done};
-}
-
 // ------------------------------------------------------------------ P2P --
 
 bool P2P::await_ready() {
@@ -617,33 +609,6 @@ sim::Task<> Rank::bcast(const Group& group, int root_vrank,
   }
 }
 
-sim::Task<> Rank::reduce(int root, std::uint64_t bytes) {
-  return reduce(world_->world_group(), root, bytes);
-}
-
-sim::Task<> Rank::reduce(const Group& group, int root_vrank,
-                         std::uint64_t bytes) {
-  const int p = group.size();
-  CTESIM_EXPECTS(root_vrank >= 0 && root_vrank < p);
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpReduce);
-  const int relative = (me - root_vrank + p) % p;
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < p) {
-        co_await recv(group.global((src_rel + root_vrank) % p), tag);
-      }
-    } else {
-      co_await send(group.global((relative - mask + root_vrank) % p), bytes,
-                    tag);
-      break;
-    }
-  }
-}
-
 sim::Task<> Rank::allreduce(std::uint64_t bytes) {
   return allreduce(world_->world_group(), bytes);
 }
@@ -667,72 +632,6 @@ sim::Task<> Rank::alltoall(std::uint64_t bytes_per_pair) {
 
 sim::Task<> Rank::alltoall(const Group& group, std::uint64_t bytes_per_pair) {
   return collective(group, kOpAlltoall, bytes_per_pair);
-}
-
-sim::Task<> Rank::gather(int root, std::uint64_t bytes_per_rank) {
-  return gather(world_->world_group(), root, bytes_per_rank);
-}
-
-sim::Task<> Rank::gather(const Group& group, int root_vrank,
-                         std::uint64_t bytes_per_rank) {
-  // Binomial tree toward the root; a node at distance `mask` forwards the
-  // data of its whole subtree (mask * bytes_per_rank).
-  const int p = group.size();
-  CTESIM_EXPECTS(root_vrank >= 0 && root_vrank < p);
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpGather);
-  const int relative = (me - root_vrank + p) % p;
-  for (int mask = 1; mask < p; mask <<= 1) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < p) {
-        co_await recv(group.global((src_rel + root_vrank) % p), tag);
-      }
-    } else {
-      const std::uint64_t subtree =
-          static_cast<std::uint64_t>(std::min(mask, p - relative));
-      co_await send(group.global((relative - mask + root_vrank) % p),
-                    subtree * bytes_per_rank, tag);
-      break;
-    }
-  }
-}
-
-sim::Task<> Rank::scatter(int root, std::uint64_t bytes_per_rank) {
-  return scatter(world_->world_group(), root, bytes_per_rank);
-}
-
-sim::Task<> Rank::scatter(const Group& group, int root_vrank,
-                          std::uint64_t bytes_per_rank) {
-  // Reverse binomial tree: each internal node receives its subtree's data
-  // and forwards halves outward.
-  const int p = group.size();
-  CTESIM_EXPECTS(root_vrank >= 0 && root_vrank < p);
-  if (p == 1) co_return;
-  const int me = group.vrank_of(id_);
-  CTESIM_EXPECTS(me >= 0);
-  const int tag = coll_tag(group, kOpScatter);
-  const int relative = (me - root_vrank + p) % p;
-  int mask = 1;
-  while (mask < p) {
-    if (relative & mask) {
-      co_await recv(group.global((relative - mask + root_vrank) % p), tag);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < p) {
-      const std::uint64_t subtree =
-          static_cast<std::uint64_t>(std::min(mask, p - relative - mask));
-      co_await send(group.global((relative + mask + root_vrank) % p),
-                    subtree * bytes_per_rank, tag);
-    }
-    mask >>= 1;
-  }
 }
 
 sim::Task<> Rank::reduce_scatter(std::uint64_t total_bytes) {

@@ -1,14 +1,14 @@
 // Simulated MPI world: ranks as coroutine actors over the DES engine, with
 // point-to-point messaging timed by the network/node models and collective
 // operations implemented as the standard algorithms (binomial tree,
-// recursive doubling, ring, pairwise exchange). The rooted collectives
-// always run on point-to-point messages; allreduce, allgather, alltoall,
+// recursive doubling, ring, pairwise exchange). The rooted bcast always
+// runs on point-to-point messages; allreduce, allgather, alltoall,
 // barrier and reduce_scatter do too when congestion is modelled, and are
 // otherwise evaluated as one max-plus schedule once the last rank enters
 // (docs/ENGINE.md section 9).
 //
 // Every rank keeps its own simulated clock (Rank::now), at or after the
-// engine's. Compute, wait and a receive whose messages are already queued
+// engine's. Compute and a receive whose messages are already queued
 // move only that clock; the engine dispatches hand-offs to blocked
 // receives, collective wakes and spawns, so its clock may lag rank time.
 // Without congestion a rank's timing depends only on its own program and
@@ -20,7 +20,6 @@
 // deterministic for a fixed (options, placement, body).
 #pragma once
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -82,11 +81,6 @@ class Group {
   // simulation results. Ordered iteration happens over members_.
   std::unordered_map<int, int> index_;
   int context_;
-};
-
-/// Handle for a nonblocking send (see Rank::isend / Rank::wait).
-struct Request {
-  sim::Time complete_at = 0;
 };
 
 struct WorldOptions {
@@ -212,8 +206,8 @@ class World {
   /// One destination's mailboxes: its (src, tag) keys and their channels,
   /// parallel arrays in first-touch order (deterministic). The keys are
   /// scanned linearly. Scheduled collectives send no message, so a NEMO
-  /// rank has only its halo neighbours (at most 4); rooted collectives,
-  /// user messages and congested Worlds, whose collectives are messages
+  /// rank has only its halo neighbours (at most 4); bcast, user
+  /// messages and congested Worlds, whose collectives are messages
   /// (the widest: OpenIFS's alltoall gives each of up to 192 actors p - 1
   /// sources), add more. A per-destination hash measured no faster
   /// (docs/ENGINE.md section 7). Channels may move when the array grows;
@@ -346,27 +340,6 @@ class Rank {
   /// Full-duplex exchange (MPI_Sendrecv): awaits to the received byte
   /// count.
   P2P sendrecv(int dst, std::uint64_t send_bytes, int src, int tag = 0);
-  /// Nonblocking send: the message is injected immediately; wait() (or any
-  /// later await) settles the residual sender-side occupancy.
-  Request isend(int dst, std::uint64_t bytes, int tag = 0);
-  /// The awaiter of an advance of this rank's clock (see advance_to).
-  struct [[nodiscard]] Advance {
-    Rank* rank;
-    sim::Time to;
-    bool await_ready() const noexcept;
-    void await_suspend(std::coroutine_handle<> h) const;
-    void await_resume() const { rank->check_clock(); }
-  };
-
-  /// Awaitable until every request's sender-side occupancy has passed.
-  Advance waitall(std::span<const Request> requests) {
-    sim::Time latest = clock_;
-    for (const Request& r : requests) {
-      latest = std::max(latest, r.complete_at);
-    }
-    return advance_to(latest);
-  }
-  Advance wait(Request request) { return waitall({&request, 1}); }
   /// Post sends to all neighbors, then receive one message from each —
   /// the halo-exchange pattern every domain-decomposed app uses. The span
   /// must reference storage that outlives the await (a named container).
@@ -376,7 +349,7 @@ class Rank {
   // --- collectives --------------------------------------------------------
   // Each has a whole-world form and a Group form. Group arguments must
   // outlive the await (named lvalues, per the core/task.h GCC constraint).
-  // The unrooted ones (barrier, allreduce, allgather, alltoall,
+  // All but bcast (barrier, allreduce, allgather, alltoall,
   // reduce_scatter) give every rank the spans and exit time their
   // point-to-point algorithm would, but without congestion they send no
   // message: each rank parks, and the last one in evaluates the schedule.
@@ -384,8 +357,6 @@ class Rank {
   sim::Task<> barrier(const Group& group);
   sim::Task<> bcast(int root, std::uint64_t bytes);      ///< binomial tree
   sim::Task<> bcast(const Group& group, int root_vrank, std::uint64_t bytes);
-  sim::Task<> reduce(int root, std::uint64_t bytes);     ///< binomial tree
-  sim::Task<> reduce(const Group& group, int root_vrank, std::uint64_t bytes);
   /// Recursive doubling below WorldOptions::allreduce_ring_threshold,
   /// bandwidth-optimal ring (reduce-scatter + allgather) above it.
   sim::Task<> allreduce(std::uint64_t bytes);
@@ -394,12 +365,6 @@ class Rank {
   sim::Task<> allgather(const Group& group, std::uint64_t bytes_per_rank);
   sim::Task<> alltoall(std::uint64_t bytes_per_pair);    ///< pairwise
   sim::Task<> alltoall(const Group& group, std::uint64_t bytes_per_pair);
-  sim::Task<> gather(int root, std::uint64_t bytes_per_rank);  ///< binomial
-  sim::Task<> gather(const Group& group, int root_vrank,
-                     std::uint64_t bytes_per_rank);
-  sim::Task<> scatter(int root, std::uint64_t bytes_per_rank);  ///< binomial
-  sim::Task<> scatter(const Group& group, int root_vrank,
-                      std::uint64_t bytes_per_rank);
   /// Pairwise-halving reduce-scatter of a `total_bytes` buffer.
   sim::Task<> reduce_scatter(std::uint64_t total_bytes);
   sim::Task<> reduce_scatter(const Group& group, std::uint64_t total_bytes);
@@ -419,6 +384,17 @@ class Rank {
   friend class World;
   friend class P2P;
   Rank(World& world, int id) : world_(&world), id_(id) {}
+
+  /// The awaiter of an advance of this rank's clock (see advance_to).
+  struct [[nodiscard]] Advance {
+    Rank* rank;
+    sim::Time to;
+    bool await_ready() const noexcept;
+    void await_suspend(std::coroutine_handle<> h) const;
+    void await_resume() const { rank->check_clock(); }
+  };
+  // A co_await temporary: core/task.h's GCC 12 constraint.
+  static_assert(std::is_trivially_destructible_v<Advance>);
 
   /// Move the clock to `t` (>= now()) when awaited: no engine event,
   /// unless the World must sleep until `t` (World::must_sleep_until).
@@ -446,8 +422,6 @@ class Rank {
   int id_;
   sim::Time clock_ = 0;
 };
-// A co_await temporary: core/task.h's GCC 12 constraint.
-static_assert(std::is_trivially_destructible_v<Rank::Advance>);
 
 inline bool Rank::Advance::await_ready() const noexcept {
   rank->clock_ = to;

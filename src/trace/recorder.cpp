@@ -1,11 +1,9 @@
 #include "trace/recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "util/check.h"
-#include "util/csv.h"
 
 namespace ctesim::trace {
 
@@ -132,17 +130,6 @@ void Recorder::merge_from(const std::vector<const Recorder*>& parts) {
               if (const int c = std::strcmp(a.name, b.name)) return c < 0;
               return a.value < b.value;
             });
-}
-
-void Recorder::write_counters_csv(const std::string& path) const {
-  CsvWriter csv(path, {"time_s", "track", "category", "name", "value"});
-  char buf[32];
-  for (const CounterSample& s : counters_) {
-    std::snprintf(buf, sizeof(buf), "%.12g", s.value);
-    csv.row(std::vector<std::string>{std::to_string(sim::to_seconds(s.time)),
-                                     label(s.track), s.category, s.name,
-                                     buf});
-  }
 }
 
 }  // namespace ctesim::trace

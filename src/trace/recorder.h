@@ -5,7 +5,7 @@
 //
 // Events are keyed by a Track (rank / node / job / the whole simulation),
 // which becomes the process/thread lane when the trace is exported to the
-// Chrome trace_event format (see trace/chrome.h) or dumped as CSV.
+// Chrome trace_event format (see trace/chrome.h).
 //
 // Recording is deterministic: for a fixed workload and seed the recorded
 // event sequence — and therefore every exported byte — is identical across
@@ -135,9 +135,6 @@ class Recorder {
 
   /// Every track that any recorded event references, sorted.
   std::vector<Track> tracks() const;
-
-  /// Dump every counter sample as CSV: time_s,track,category,name,value.
-  void write_counters_csv(const std::string& path) const;
 
   /// Absorb the completed events of `parts` (plus anything already recorded
   /// here) and canonically re-sort all three event lists, so the result is

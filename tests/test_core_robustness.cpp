@@ -9,7 +9,6 @@
 
 #include "core/channel.h"
 #include "core/engine.h"
-#include "core/sync.h"
 #include "core/task.h"
 #include "util/rng.h"
 
@@ -214,40 +213,6 @@ TEST(ChannelRobustness, WaitersWakeInArrivalOrderWithVaryingBacklog) {
     ASSERT_EQ(got[static_cast<std::size_t>(k)], k) << "receiver " << k;
     ASSERT_EQ(woke[static_cast<std::size_t>(k)], k) << "wake-up " << k;
   }
-}
-
-TEST(EngineRobustness, RunUntilThenRunCompletes) {
-  Engine engine;
-  std::vector<Time> log;
-  engine.spawn(child(engine, 100, &log));
-  engine.spawn(child(engine, 300, &log));
-  EXPECT_FALSE(engine.run_until(200));
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(engine.unfinished_processes(), 1u);
-  engine.run();
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(engine.unfinished_processes(), 0u);
-}
-
-Task<> event_chain(Engine& engine, Event& a, Event& b) {
-  co_await a.wait();
-  co_await engine.delay(5);
-  b.set();
-}
-
-TEST(SyncRobustness, EventChainsCompose) {
-  Engine engine;
-  Event a(engine);
-  Event b(engine);
-  Time b_seen = -1;
-  engine.spawn(event_chain(engine, a, b));
-  engine.spawn([](Engine& eng, Event& evt, Time* when) -> Task<> {
-    co_await evt.wait();
-    *when = eng.now();
-  }(engine, b, &b_seen));
-  engine.schedule_in(50, [&] { a.set(); });
-  engine.run();
-  EXPECT_EQ(b_seen, 55);
 }
 
 }  // namespace

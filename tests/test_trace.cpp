@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -112,27 +110,6 @@ TEST(Engine, SamplesEventCounterMonotonically) {
     prev = sample.value;
     prev_t = sample.time;
   }
-}
-
-TEST(Recorder, CountersCsvRoundTrip) {
-  Recorder rec;
-  rec.counter(Track::global(), "batch", "queue_depth", sim::from_seconds(1.5),
-              3.0);
-  rec.counter(Track::node(2), "net", "busy_links", sim::from_seconds(2.0),
-              7.0);
-  const std::string path = ::testing::TempDir() + "ctesim_counters.csv";
-  rec.write_counters_csv(path);
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "time_s,track,category,name,value");
-  std::string line;
-  std::getline(in, line);
-  EXPECT_NE(line.find("queue_depth"), std::string::npos);
-  EXPECT_NE(line.find("sim"), std::string::npos);
-  std::getline(in, line);
-  EXPECT_NE(line.find("node 2"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(Json, EscapeHandlesControlAndQuotes) {
