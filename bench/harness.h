@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -40,8 +39,8 @@ class Harness {
   bool parse(int argc, char** argv) {
     cli_.option("csv", &csv_path_, "write the series as CSV to this path");
     if (!cli_.parse(argc, argv)) return false;
-    unwritable_ = !writable("csv", csv_path_) ||
-                  (trace_path_ && !writable("trace", *trace_path_));
+    unwritable_ = !cli_.writable("csv", csv_path_) ||
+                  (trace_path_ && !cli_.writable("trace", *trace_path_));
     return !unwritable_;
   }
   int exit_status() const { return unwritable_ ? 1 : cli_.exit_status(); }
@@ -67,13 +66,6 @@ class Harness {
   }
 
  private:
-  bool writable(const char* option, const std::string& path) const {
-    if (path.empty() || std::ofstream(path)) return true;
-    std::fprintf(stderr, "%s: cannot write --%s file '%s'\n",
-                 cli_.program().c_str(), option, path.c_str());
-    return false;
-  }
-
   Cli cli_;
   std::string csv_path_;
   std::string* trace_path_ = nullptr;

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
       .option("trace", &trace_path,
               "write a Chrome trace (chrome://tracing / Perfetto)");
   if (!cli.parse(argc, argv)) return cli.exit_status();
+  if (!cli.writable("trace", trace_path)) return 1;
 
   mpi::WorldOptions options;
   options.machine = arch::cte_arm();

@@ -60,12 +60,6 @@ class EventQueue {
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
 
-  /// Time of the earliest event. Precondition: !empty().
-  Time top_time() const {
-    CTESIM_EXPECTS(!heap_.empty());
-    return unpack_time(heap_.front().key);
-  }
-
   /// Pre-size the backing arrays so steady-state push/pop never reallocates.
   void reserve(std::size_t n) {
     heap_.reserve(n);

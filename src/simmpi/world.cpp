@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/check.h"
 
@@ -351,7 +352,7 @@ Group World::create_group(std::vector<int> members) {
   return Group(std::move(members), next_group_context_++);
 }
 
-sim::Channel<Message>& World::mailbox(int dst, int src, int tag) {
+World::Mailbox& World::mailbox(int dst, int src, int tag) {
   CTESIM_EXPECTS(dst >= 0 && dst < num_ranks());
   CTESIM_EXPECTS(src >= 0 && src < num_ranks());
   CTESIM_EXPECTS(tag >= 0 && tag < (1 << 24));
@@ -360,10 +361,44 @@ sim::Channel<Message>& World::mailbox(int dst, int src, int tag) {
   Mailboxes& box = mailboxes_[static_cast<std::size_t>(dst)];
   const std::size_t n = box.keys.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (box.keys[i] == key) return box.channels[i];
+    if (box.keys[i] == key) return box.boxes[i];
   }
   box.keys.push_back(key);
-  return box.channels.emplace_back(engine_);
+  return box.boxes.emplace_back();
+}
+
+void World::Mailbox::put(const Message& message) {
+  if (count < 2) {
+    slots[(head + count) & 1u] = message;
+    ++count;
+    return;
+  }
+  if (!spill) spill = std::make_unique<Spill>();
+  spill->buf.push_back(message);
+}
+
+bool World::Mailbox::take(Message& out) {
+  if (count == 0) return false;
+  out = slots[head];
+  head ^= 1u;
+  --count;
+  if (spill && spill->head < spill->buf.size()) {
+    std::vector<Message>& buf = spill->buf;
+    slots[(head + count) & 1u] = buf[spill->head++];
+    ++count;
+    if (spill->head == buf.size()) {
+      // Drained: keep the capacity for the next burst.
+      buf.clear();
+      spill->head = 0;
+    } else if (2 * spill->head > buf.size()) {
+      // Fewer live entries than dead ones: move the live ones down, at a
+      // cost the pops since the last compaction already paid for.
+      buf.erase(buf.begin(),
+                buf.begin() + static_cast<std::ptrdiff_t>(spill->head));
+      spill->head = 0;
+    }
+  }
+  return true;
 }
 
 void World::record(int rank, sim::Time start, sim::Time end, const char* kind,
@@ -461,7 +496,21 @@ World::Delivery World::delivery(int src, int dst, std::uint64_t bytes,
 World::Delivery Rank::deposit(int dst, std::uint64_t bytes, int tag) {
   CTESIM_EXPECTS(dst >= 0 && dst < size());
   const World::Delivery d = world_->delivery(id_, dst, bytes, clock_);
-  world_->mailbox(dst, id_, tag).push(Message{bytes, d.arrival}, d.arrival);
+  World::Mailbox& box = world_->mailbox(dst, id_, tag);
+  const Message message{bytes, d.arrival};
+  if (P2P* p2p = std::exchange(box.receiver, nullptr)) {
+    // Hand the message to the parked receive: one event, at the end of
+    // its recv span.
+    p2p->value_ = message;
+    auto handoff = [p2p] { p2p->on_handoff(); };
+    static_assert(sim::Engine::Callback::fits_inline<decltype(handoff)>,
+                  "simmpi must never schedule a spilling closure");
+    sim::Engine& engine = world_->engine_;
+    engine.schedule_at(std::max({engine.now(), d.arrival, p2p->recv_start_}),
+                       std::move(handoff));
+  } else {
+    box.put(message);
+  }
   world_->record(id_, clock_, d.sender_done, "send", "", bytes, dst);
   return d;
 }
@@ -500,8 +549,11 @@ bool P2P::await_ready() {
 bool P2P::receive_next() {
   World& world = *rank_->world_;
   while (next_src_ < num_srcs_) {
-    not_before = recv_start_;
-    if (!world.mailbox(rank_->id_, src(next_src_), tag_).try_receive(*this)) {
+    World::Mailbox& box = world.mailbox(rank_->id_, src(next_src_), tag_);
+    if (!box.take(value_)) {
+      CTESIM_DCHECK(box.receiver == nullptr,
+                    "a mailbox has one receiver: its rank's one P2P call");
+      box.receiver = this;
       return false;  // the hand-off calls on_handoff, at >= the cursor
     }
     received();
@@ -510,18 +562,17 @@ bool P2P::receive_next() {
 }
 
 void P2P::received() {
-  const sim::Time end = std::max(recv_start_, value->arrival);
+  const sim::Time end = std::max(recv_start_, value_.arrival);
   rank_->world_->record(rank_->id_, recv_start_, end, "recv", "",
-                        value->bytes, src(next_src_));
+                        value_.bytes, src(next_src_));
   recv_start_ = end;
   ++next_src_;
 }
 
-void P2P::on_handoff(sim::Channel<Message>::Waiter& waiter) {
+void P2P::on_handoff() {
   // Fired at max(cursor, arrival): the end of this source's recv span.
-  P2P& p2p = static_cast<P2P&>(waiter);
-  p2p.received();
-  if (p2p.receive_next()) p2p.handle.resume();
+  received();
+  if (receive_next()) handle_.resume();
 }
 
 bool P2P::finish() {
@@ -529,7 +580,7 @@ bool P2P::finish() {
   const sim::Time done = std::max(recv_start_, latest_send_);
   rank_->clock_ = done;
   if (world.must_sleep_until(done)) {
-    world.engine_.schedule_at(done, [this] { handle.resume(); });
+    world.engine_.schedule_at(done, [this] { handle_.resume(); });
     return false;
   }
   return true;
@@ -537,7 +588,7 @@ bool P2P::finish() {
 
 std::uint64_t P2P::await_resume() const {
   rank_->check_clock();
-  return value ? value->bytes : 0;
+  return value_.bytes;
 }
 
 // ---------------------------------------------------------- collectives --

@@ -34,7 +34,6 @@
 
 #include "arch/configs.h"
 #include "arch/machine.h"
-#include "core/channel.h"
 #include "core/engine.h"
 #include "net/congestion.h"
 #include "net/network.h"
@@ -112,6 +111,7 @@ struct WorldOptions {
 };
 
 class Rank;
+class P2P;
 
 class World {
  public:
@@ -193,7 +193,34 @@ class World {
   bool must_sleep_until(sim::Time t) const {
     return congestion_ != nullptr && t > engine_.now();
   }
-  sim::Channel<Message>& mailbox(int dst, int src, int tag);
+  /// One destination's receive queue for one (source, tag): the messages
+  /// deposited before their receive was posted, in send order, or else the
+  /// one receive parked on it, never both. Only the destination receives,
+  /// and a rank has at most one P2P call in flight, so at most one receive
+  /// ever parks here. Most mailboxes are short or idle: the first two
+  /// queued messages live inline, and a spill FIFO is allocated only when
+  /// a third one is queued.
+  struct Mailbox {
+    /// Queue a message (no receive is parked).
+    void put(const Message& message);
+    /// Move the front message into `out`; false if there is none.
+    bool take(Message& out);
+
+    P2P* receiver = nullptr;
+    /// The messages behind the inline two: live ones are [head, end).
+    struct Spill {
+      std::vector<Message> buf;
+      std::size_t head = 0;
+    };
+    std::unique_ptr<Spill> spill;
+    /// A ring of two: the front is slots[head]. Messages spill only while
+    /// both slots are full, so a free slot means the spill is empty.
+    Message slots[2];
+    std::uint8_t head = 0;
+    std::uint8_t count = 0;
+  };
+  static_assert(sizeof(Mailbox) <= 64);
+  Mailbox& mailbox(int dst, int src, int tag);
   void record(int rank, sim::Time start, sim::Time end, const char* kind,
               const char* detail, std::uint64_t bytes, int peer);
 
@@ -203,18 +230,18 @@ class World {
   roofline::ExecModel exec_;
   sim::Engine engine_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  /// One destination's mailboxes: its (src, tag) keys and their channels,
+  /// One destination's mailboxes: its (src, tag) keys and their queues,
   /// parallel arrays in first-touch order (deterministic). The keys are
   /// scanned linearly. Scheduled collectives send no message, so a NEMO
   /// rank has only its halo neighbours (at most 4); bcast, user
   /// messages and congested Worlds, whose collectives are messages
   /// (the widest: OpenIFS's alltoall gives each of up to 192 actors p - 1
   /// sources), add more. A per-destination hash measured no faster
-  /// (docs/ENGINE.md section 7). Channels may move when the array grows;
-  /// nothing holds a Channel& across a suspension.
+  /// (docs/ENGINE.md section 7). Mailboxes may move when the array grows;
+  /// nothing holds a Mailbox& across a suspension.
   struct Mailboxes {
     std::vector<std::uint64_t> keys;
-    std::vector<sim::Channel<Message>> channels;
+    std::vector<Mailbox> boxes;
   };
   std::vector<Mailboxes> mailboxes_;
   std::vector<Rng> jitter_;
@@ -245,8 +272,8 @@ class World {
 /// recv span is [cursor, max(cursor, arrival)], and the cursor then moves
 /// to its end. A message already queued is consumed at once, with no
 /// event. A source whose message has not been deposited yet parks the
-/// awaiter with `not_before` = cursor, and the deposit's hand-off fires
-/// at max(cursor, arrival), the end of that span. The call then moves the
+/// awaiter on its mailbox, and the deposit's hand-off fires at
+/// max(cursor, arrival), the end of that span. The call then moves the
 /// rank's clock to its end without an event (a congested World sleeps
 /// there instead). So a call costs one engine event per source it had to
 /// wait for, and every span, simulated time and per-rank record order is
@@ -258,18 +285,16 @@ class World {
 /// never escapes an engine callback. Returned by value, so a single peer
 /// is stored inline (a span into the awaiter would dangle); an exchange's
 /// neighbor span must outlive the await.
-class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
+class [[nodiscard]] P2P {
  public:
   bool await_ready();
-  void await_suspend(std::coroutine_handle<> h) { handle = h; }
+  void await_suspend(std::coroutine_handle<> h) { handle_ = h; }
   std::uint64_t await_resume() const;
 
  private:
   friend class Rank;
   P2P(Rank& rank, std::uint64_t bytes, int tag)
-      : rank_(&rank), bytes_(bytes), tag_(tag) {
-    wake = &P2P::on_handoff;
-  }
+      : rank_(&rank), bytes_(bytes), tag_(tag) {}
   P2P& to(int dst) {
     dst_ = dst;
     num_dsts_ = 1;
@@ -292,14 +317,16 @@ class [[nodiscard]] P2P : private sim::Channel<Message>::Waiter {
   // call has finished, false once an engine event will re-enter it.
   bool receive_next();
   bool finish();
-  /// Records the recv span of the message in `value` and advances the
+  /// Records the recv span of the message in `value_` and advances the
   /// cursor past it.
   void received();
   /// Engine-event entry: a hand-off at the end of its recv span, then the
   /// rest of the call; resumes the caller if that has finished.
-  static void on_handoff(sim::Channel<Message>::Waiter& waiter);
+  void on_handoff();
 
   Rank* rank_;
+  std::coroutine_handle<> handle_;
+  Message value_;  ///< the last message received
   const int* peers_ = nullptr;  ///< exchange: destinations and sources
   std::uint64_t bytes_;
   sim::Time recv_start_ = 0;  ///< receive cursor: the next span's start

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string_view>
 
 #include "util/check.h"
@@ -125,6 +126,13 @@ bool Cli::parse(int argc, const char* const* argv) {
     if (!assign(name, value)) return false;
   }
   return true;
+}
+
+bool Cli::writable(const char* option, const std::string& path) const {
+  if (path.empty() || std::ofstream(path)) return true;
+  std::fprintf(stderr, "%s: cannot write --%s file '%s'\n", program_.c_str(),
+               option, path.c_str());
+  return false;
 }
 
 void Cli::print_help() const {

@@ -34,6 +34,12 @@ class Cli {
   /// command-line error.
   int exit_status() const { return help_ ? 0 : 2; }
 
+  /// True when `path` is empty or can be opened for writing (which
+  /// creates or truncates it). Otherwise prints "<program>: cannot write
+  /// --<option> file '<path>'" and returns false, so a main can exit 1
+  /// before a run whose output it could not save.
+  bool writable(const char* option, const std::string& path) const;
+
   void print_help() const;
   const std::string& program() const { return program_; }
 

@@ -12,7 +12,7 @@
 //     need to be copyable either.
 //   - kInlineFunctionCapacity (48) bytes of inline storage, chosen so every
 //     closure the simulation layers schedule today — coroutine-handle
-//     resumes (8 B), engine timers, channel/semaphore wakeups, simmpi
+//     resumes (8 B), engine timers, simmpi hand-offs and
 //     completions — stays inline. With the two function pointers this makes
 //     sizeof(InlineFunction<void()>) one cache line (64 B).
 //   - A guaranteed heap fallback for oversized closures (batch/cluster.cpp

@@ -1,13 +1,13 @@
-// Unit tests for the DES engine, coroutine tasks and channels.
+// Unit tests for the DES engine and coroutine tasks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/channel.h"
 #include "core/engine.h"
 #include "core/task.h"
 #include "util/check.h"
@@ -192,113 +192,11 @@ TEST(Process, ExceptionsPropagateThroughNestedAwait) {
 
 TEST(Process, UnfinishedProcessesDetected) {
   Engine engine;
-  Channel<int> never(engine);
-  engine.spawn([](Channel<int>& ch) -> Task<> {
-    co_await ch.pop();  // no one ever pushes
-  }(never));
+  engine.spawn([]() -> Task<> {
+    co_await std::suspend_always{};  // nothing ever resumes it
+  }());
   engine.run();
   EXPECT_EQ(engine.unfinished_processes(), 1u);
-}
-
-Task<> producer(Engine& engine, Channel<int>& ch, int n) {
-  for (int i = 0; i < n; ++i) {
-    co_await engine.delay(10);
-    ch.push(i);
-  }
-}
-
-Task<> consumer(Channel<int>& ch, int n, std::vector<int>* got) {
-  for (int i = 0; i < n; ++i) {
-    got->push_back(co_await ch.pop());
-  }
-}
-
-TEST(Channel, DeliversInFifoOrder) {
-  Engine engine;
-  Channel<int> ch(engine);
-  std::vector<int> got;
-  engine.spawn(producer(engine, ch, 5));
-  engine.spawn(consumer(ch, 5, &got));
-  engine.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(engine.unfinished_processes(), 0u);
-}
-
-TEST(Channel, BuffersWhenNoReceiver) {
-  Engine engine;
-  Channel<int> ch(engine);
-  ch.push(1);
-  ch.push(2);
-  EXPECT_EQ(ch.size(), 2u);
-  std::vector<int> got;
-  engine.spawn(consumer(ch, 2, &got));
-  engine.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
-}
-
-Task<> tagged_consumer(Channel<int>& ch, int id, std::vector<int>* order) {
-  co_await ch.pop();
-  order->push_back(id);
-}
-
-TEST(Channel, WaitersWakeInArrivalOrder) {
-  // Two receivers queue before any item exists; pushes must wake them in
-  // the order they arrived (no stealing by the later receiver).
-  Engine engine;
-  Channel<int> ch(engine);
-  std::vector<int> order;
-  engine.spawn(tagged_consumer(ch, 1, &order));
-  engine.spawn(tagged_consumer(ch, 2, &order));
-  engine.schedule_in(100, [&] { ch.push(42); });
-  engine.schedule_in(200, [&] { ch.push(43); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-Task<> timed_consumer(Engine& engine, Channel<int>& ch, int* got,
-                      Time* woke) {
-  *got = co_await ch.pop();
-  *woke = engine.now();
-}
-
-TEST(Channel, HandOffFiresOnceAtReadyAt) {
-  // A parked pop() gets a value pushed at t = 100 that is usable only at
-  // t = 350: one hand-off event at 350, not a +0 wake and a second sleep.
-  Engine engine;
-  Channel<int> ch(engine);
-  int got = 0;
-  Time woke = -1;
-  engine.spawn(timed_consumer(engine, ch, &got, &woke));
-  engine.schedule_in(100, [&] { ch.push(7, engine.now() + 250); });
-  engine.run();
-  EXPECT_EQ(got, 7);
-  EXPECT_EQ(woke, 350);
-  EXPECT_EQ(engine.events_processed(), 3u);  // spawn, push, hand-off
-}
-
-TEST(Channel, DefaultReadyAtWakesAtPushTime) {
-  Engine engine;
-  Channel<int> ch(engine);
-  int got = 0;
-  Time woke = -1;
-  engine.spawn(timed_consumer(engine, ch, &got, &woke));
-  engine.schedule_in(100, [&] { ch.push(8); });
-  engine.run();
-  EXPECT_EQ(got, 8);
-  EXPECT_EQ(woke, 100);
-  EXPECT_EQ(engine.events_processed(), 3u);
-}
-
-TEST(Channel, ReadyAtInThePastStillWakesAtPushTime) {
-  Engine engine;
-  Channel<int> ch(engine);
-  int got = 0;
-  Time woke = -1;
-  engine.spawn(timed_consumer(engine, ch, &got, &woke));
-  engine.schedule_in(100, [&] { ch.push(9, 40); });
-  engine.run();
-  EXPECT_EQ(got, 9);
-  EXPECT_EQ(woke, 100);
 }
 
 TEST(Time, SecondConversionRoundTrips) {

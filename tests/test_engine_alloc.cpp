@@ -12,9 +12,10 @@
 // processes through one engine must keep the tracked-process table O(live),
 // not O(ever spawned).
 //
-// And of the simulated-MPI checks: an idle channel owns no heap memory, a
-// World's message traffic allocates per mailbox, not per message, and a
-// congested transfer allocates only for links it has never seen.
+// And of the simulated-MPI checks: a mailbox owns no heap memory until a
+// third message queues in it, a World's message traffic allocates per
+// mailbox, not per message, and a congested transfer allocates only for
+// links it has never seen.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "arch/configs.h"
-#include "core/channel.h"
 #include "core/engine.h"
 #include "core/frame_pool.h"
 #include "core/task.h"
@@ -224,92 +224,77 @@ TEST(EngineAlloc, CongestedTransferOverKnownLinksAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u);
 }
 
-TEST(EngineAlloc, EmptyChannelAllocatesNothing) {
-  Engine engine;
+/// Heap allocations of one whole 2-rank World (set-up, run, tear-down).
+/// For `steps` steps, rank 0 sends `depth` messages on each of tags 0 to
+/// `tags` - 1 and a token on tag `tags`; rank 1 takes the token, receives
+/// `depth` messages from each tag and acknowledges on tag `tags` + 1
+/// before the next step. Rank 0 sends `kept` more messages on tag 0
+/// first, which rank 1 receives only after the last step. So a data
+/// mailbox holds `depth` messages at its deepest (tag 0: `kept` + `depth`)
+/// and tag 0 never holds fewer than `kept`.
+std::uint64_t mailbox_world_allocations(int tags, int depth, int steps,
+                                        int kept = 0) {
   const auto before = allocations();
   {
-    Channel<mpi::Message> channel(engine);
-    EXPECT_TRUE(channel.empty());
-    EXPECT_EQ(channel.waiting_receivers(), 0u);
+    mpi::WorldOptions options;
+    options.machine = arch::cte_arm();
+    mpi::World world(std::move(options),
+                     mpi::Placement::per_node(arch::cte_arm().node, 2));
+    world.run([=](mpi::Rank& rank) -> Task<> {
+      if (rank.id() == 0) {
+        for (int i = 0; i < kept; ++i) co_await rank.send(1, 8);
+        for (int s = 0; s < steps; ++s) {
+          for (int tag = 0; tag < tags; ++tag) {
+            for (int i = 0; i < depth; ++i) co_await rank.send(1, 8, tag);
+          }
+          co_await rank.send(1, 8, tags);
+          co_await rank.recv(1, tags + 1);
+        }
+      } else {
+        for (int s = 0; s < steps; ++s) {
+          co_await rank.recv(0, tags);
+          for (int tag = 0; tag < tags; ++tag) {
+            for (int i = 0; i < depth; ++i) co_await rank.recv(0, tag);
+          }
+          co_await rank.send(0, 8, tags + 1);
+        }
+        for (int i = 0; i < kept; ++i) co_await rank.recv(0);
+      }
+    });
   }
-  EXPECT_EQ(allocations() - before, 0u)
-      << "an idle channel must not own heap memory";
+  return allocations() - before;
 }
 
-TEST(EngineAlloc, UndrainedChannelReusesItsStorage) {
-  // The backlog never reaches zero, so the queue never resets; compaction
-  // alone must keep it inside the storage it already has.
-  Engine engine;
-  Channel<mpi::Message> channel(engine);
-  std::uint64_t allocated = 0;
-  engine.spawn([](Channel<mpi::Message>& ch, std::uint64_t* out) -> Task<> {
-    ch.push({});
-    for (int i = 0; i < 16; ++i) {
-      ch.push({});
-      co_await ch.pop();
-    }
-    const auto before = allocations();
-    for (int i = 0; i < 10000; ++i) {
-      ch.push({});
-      co_await ch.pop();
-    }
-    *out = allocations() - before;
-  }(channel, &allocated));
-  engine.run();
-  EXPECT_EQ(allocated, 0u);
-  EXPECT_EQ(channel.size(), 1u);
+TEST(EngineAlloc, EmptyChannelAllocatesNothing) {
+  // 32 more mailboxes, each filled with one message and drained, cost only
+  // the growth of rank 1's two per-destination arrays (keys and mailboxes,
+  // one doubling each): a mailbox itself owns no heap memory.
+  mailbox_world_allocations(32, 1, 1);  // warm up the frame pool
+  const std::uint64_t few = mailbox_world_allocations(32, 1, 1);
+  const std::uint64_t many = mailbox_world_allocations(64, 1, 1);
+  ASSERT_GE(many, few);
+  EXPECT_LE(many - few, 2u);
 }
 
 TEST(EngineAlloc, ShallowChannelKeepsItsValuesInline) {
-  // A backlog of at most two values never leaves the channel's inline
-  // slots, so not even the first push allocates.
-  Engine engine;
-  Channel<mpi::Message> channel(engine);
-  std::uint64_t allocated = 1;
-  engine.spawn([](Channel<mpi::Message>& ch, std::uint64_t* out) -> Task<> {
-    const auto before = allocations();
-    for (int i = 0; i < 1000; ++i) {
-      ch.push({});
-      ch.push({});
-      co_await ch.pop();
-      co_await ch.pop();
-    }
-    *out = allocations() - before;
-  }(channel, &allocated));
-  engine.run();
-  EXPECT_EQ(allocated, 0u);
-  EXPECT_TRUE(channel.empty());
+  // A backlog of two stays in a mailbox's inline slots; the third message
+  // spills.
+  mailbox_world_allocations(4, 1, 20);  // warm up the frame pool
+  const std::uint64_t one = mailbox_world_allocations(4, 1, 20);
+  const std::uint64_t two = mailbox_world_allocations(4, 2, 20);
+  const std::uint64_t three = mailbox_world_allocations(4, 3, 20);
+  EXPECT_EQ(two, one) << "a second queued message allocated";
+  EXPECT_GT(three, two) << "a third queued message did not spill";
 }
 
-TEST(EngineAlloc, ParkedReceiversAllocateNothingAndWakeInOrder) {
-  // Waiters are an intrusive FIFO of records the receivers own: parking
-  // 1000 of them and handing each a value costs the channel nothing.
-  constexpr int kReceivers = 1000;
-  Engine engine;
-  // Grow the event queue to kReceivers pending events first, so that the
-  // channel is the only thing left that could allocate.
-  for (int i = 0; i < kReceivers; ++i) engine.schedule_in(0, [] {});
-  engine.run();
-  Channel<int> channel(engine);
-  std::vector<int> woken;
-  woken.reserve(kReceivers);
-  for (int id = 0; id < kReceivers; ++id) {
-    engine.spawn([](Channel<int>& ch, int me, std::vector<int>* out) -> Task<> {
-      const int value = co_await ch.pop();
-      EXPECT_EQ(value, me);
-      out->push_back(me);
-    }(channel, id, &woken));
-  }
-  const auto before = allocations();
-  engine.run();  // every receiver starts and parks
-  EXPECT_EQ(channel.waiting_receivers(), static_cast<std::size_t>(kReceivers));
-  for (int value = 0; value < kReceivers; ++value) channel.push(value);
-  engine.run();
-  EXPECT_EQ(allocations() - before, 0u);
-  ASSERT_EQ(woken.size(), static_cast<std::size_t>(kReceivers));
-  for (int id = 0; id < kReceivers; ++id) {
-    EXPECT_EQ(woken[static_cast<std::size_t>(id)], id);
-  }
+TEST(EngineAlloc, UndrainedChannelReusesItsStorage) {
+  // Five messages stay queued throughout, so the spill never drains and
+  // never resets; compaction alone must keep it inside the storage it
+  // already has.
+  mailbox_world_allocations(1, 1, 10, 5);  // warm up the frame pool
+  const std::uint64_t short_run = mailbox_world_allocations(1, 1, 10, 5);
+  const std::uint64_t long_run = mailbox_world_allocations(1, 1, 1000, 5);
+  EXPECT_EQ(long_run, short_run);
 }
 
 /// Heap allocations of one whole 384-rank World (set-up, run, tear-down)
@@ -336,7 +321,7 @@ std::uint64_t ring_world_allocations(int steps) {
 
 TEST(EngineAlloc, WorldMessagesDoNotAllocatePerStep) {
   // Every mailbox exists after the first step; later steps reuse the
-  // channels' storage. Warm up the coroutine frame pool first.
+  // mailboxes' storage. Warm up the coroutine frame pool first.
   ring_world_allocations(10);
   const std::uint64_t short_run = ring_world_allocations(10);
   const std::uint64_t long_run = ring_world_allocations(40);

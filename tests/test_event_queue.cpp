@@ -99,18 +99,6 @@ TEST(EventQueue, PopMovesTheCallbackOut) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, TopTimeTracksMinimum) {
-  EventQueue queue;
-  queue.push({70, 0, [] {}});
-  EXPECT_EQ(queue.top_time(), 70);
-  queue.push({40, 1, [] {}});
-  EXPECT_EQ(queue.top_time(), 40);
-  queue.push({55, 2, [] {}});
-  EXPECT_EQ(queue.top_time(), 40);
-  (void)queue.pop();
-  EXPECT_EQ(queue.top_time(), 55);
-}
-
 TEST(EventQueue, ClearDropsEverything) {
   EventQueue queue;
   for (int i = 0; i < 10; ++i) {

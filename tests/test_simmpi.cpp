@@ -2,11 +2,15 @@
 // timing semantics, and the collective algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "arch/configs.h"
 #include "roofline/kernel_library.h"
 #include "simmpi/world.h"
+#include "util/assert.h"
+#include "util/rng.h"
 
 namespace ctesim::mpi {
 namespace {
@@ -158,6 +162,75 @@ TEST(World, ManyMailboxesPerRankMatchSourceAndTag) {
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kSenders * kTags));
   EXPECT_EQ(got, want);
 }
+
+TEST(ChannelRobustness, InterleavedPushPopStaysFifoWithVaryingBacklog) {
+  // One (source, tag) mailbox whose backlog swings between 0 and 87:
+  // filling rounds alternate with longer draining ones, so the inline
+  // slots and the spill fill, drain, reset and compact many times. Each
+  // message's byte count is its sequence number. Rank 0 sends a round's
+  // messages on tag 0, then a token on tag 1; rank 1 takes the token,
+  // receives its share of the round and acknowledges on tag 2 before the
+  // next round, so the mailbox holds exactly the backlog planned here.
+  std::vector<std::pair<int, int>> rounds;  // (sends, receives)
+  Rng rng(17);
+  int backlog = 0;
+  int max_backlog = 0;
+  int drains = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const bool filling = round % 40 < 16;
+    const int sends = static_cast<int>(rng.uniform_int(0, filling ? 11 : 3));
+    const int receives = std::min(
+        backlog + sends,
+        static_cast<int>(rng.uniform_int(0, filling ? 3 : 11)));
+    backlog += sends - receives;
+    max_backlog = std::max(max_backlog, backlog);
+    if (receives > 0 && backlog == 0) ++drains;
+    rounds.emplace_back(sends, receives);
+  }
+  ASSERT_GT(max_backlog, 32);
+  ASSERT_GT(drains, 10);
+
+  World world(cte_options(), Placement::per_node(arch::cte_arm().node, 2));
+  std::vector<std::uint64_t> got;
+  std::uint64_t sent = 0;
+  world.run([&](Rank& r) -> sim::Task<> {
+    for (const auto& [sends, receives] : rounds) {
+      if (r.id() == 0) {
+        for (int i = 0; i < sends; ++i) co_await r.send(1, ++sent);
+        co_await r.send(1, 8, /*tag=*/1);
+        co_await r.recv(1, /*tag=*/2);
+      } else {
+        co_await r.recv(0, /*tag=*/1);
+        for (int i = 0; i < receives; ++i) got.push_back(co_await r.recv(0));
+        co_await r.send(0, 8, /*tag=*/2);
+      }
+    }
+    if (r.id() == 1) {
+      for (int i = 0; i < backlog; ++i) got.push_back(co_await r.recv(0));
+    }
+  });
+  ASSERT_EQ(got.size(), sent);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], i + 1) << "FIFO broken at receive " << i;
+  }
+}
+
+#if CTESIM_CHECKS_ENABLED
+TEST(World, SecondParkedReceiveOnAMailboxIsCaught) {
+  // A rank has one P2P call in flight, so a mailbox has at most one parked
+  // receive. A second coroutine on the same Rank breaks that: it parks on
+  // the mailbox rank 0's own receive already waits on.
+  World world(cte_options(), Placement::per_node(arch::cte_arm().node, 2));
+  EXPECT_THROW(world.run([](Rank& r) -> sim::Task<> {
+                 if (r.id() == 1) co_return;  // never sends
+                 r.world().engine().spawn([](Rank& rank) -> sim::Task<> {
+                   co_await rank.recv(1);
+                 }(r));
+                 co_await r.recv(1);
+               }),
+               ContractError);
+}
+#endif  // CTESIM_CHECKS_ENABLED
 
 TEST(World, DeadlockIsReported) {
   auto opts = cte_options();
