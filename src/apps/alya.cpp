@@ -1,42 +1,19 @@
 #include "apps/alya.h"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "apps/sampled_run.h"
-#include "simmpi/world.h"
 #include "util/check.h"
 
 namespace ctesim::apps {
 
-namespace {
-
-/// Neighbor ranks of a 3D-ish unstructured decomposition: the mesh
-/// partitioner (METIS) yields ~6 neighbors per subdomain.
-std::vector<int> mesh_neighbors(int rank, int nranks) {
-  const int stride =
-      std::max(1, static_cast<int>(std::round(std::cbrt(nranks))));
-  std::vector<int> neighbors;
-  for (int delta : {1, -1, stride, -stride, stride * stride,
-                    -stride * stride}) {
-    const int nb = rank + delta;
-    if (nb >= 0 && nb < nranks && nb != rank) neighbors.push_back(nb);
-  }
-  return neighbors;
-}
-
-}  // namespace
-
 int alya_min_nodes(const arch::MachineModel& machine,
                    const AlyaConfig& config) {
-  for (int nodes = 1; nodes <= machine.num_nodes; ++nodes) {
-    const double per_node =
-        config.decomposed_bytes / nodes +
-        config.replicated_bytes_per_rank * machine.node.core_count();
-    if (per_node <= machine.node.memory_gb() * 1e9) return nodes;
-  }
-  return machine.num_nodes + 1;
+  return min_nodes_to_fit(machine, config.decomposed_bytes,
+                          config.replicated_bytes_per_rank);
 }
 
 AlyaResult run_alya(const arch::MachineModel& machine, int nodes,
@@ -47,8 +24,9 @@ AlyaResult run_alya(const arch::MachineModel& machine, int nodes,
   result.fits_memory = nodes >= alya_min_nodes(machine, config);
   if (!result.fits_memory) return result;
 
-  const int nranks =
-      mpi::Placement::per_domain(machine.node, nodes).num_ranks();
+  const mpi::Placement placement =
+      mpi::Placement::per_domain(machine.node, nodes);
+  const int nranks = placement.num_ranks();
   const double elems_local = config.elements / nranks;
   const double rows_local = config.unknowns / nranks;
   // Halo surface of a ~cubic subdomain with ~6 interfaces, 8 B/unknown.
@@ -80,62 +58,36 @@ AlyaResult run_alya(const arch::MachineModel& machine, int nodes,
   profile.total_steps = config.reported_steps;
   profile.exact_window = config.sim_steps;
   profile.channels = {{"assembly", 1.0}, {"solver", solver_scale}};
+  enum : std::size_t { kAssembly, kSolver };
 
-  const auto runner = [&](const std::vector<long long>& steps,
-                          bool want_per_step) {
-    mpi::WorldOptions options;
-    options.machine = machine;
-    options.compute_jitter = 0.02;  // OS noise / partition imbalance
-    options.seed = sampling::world_seed(
-        1000 + static_cast<std::uint64_t>(nodes), config.sampling);
-    options.recorder = config.recorder;
-    mpi::World world(std::move(options),
-                     mpi::Placement::per_domain(machine.node, nodes));
+  result.sampling = run_steps(
+      profile, config.sampling, config.recorder, machine,
+      /*compute_jitter=*/0.02,  // OS noise / partition imbalance
+      /*seed_base=*/1000 + static_cast<std::uint64_t>(nodes),
+      placement, [&](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        // The mesh partitioner (METIS) yields ~6 neighbours per subdomain.
+        const std::vector<int> neighbors =
+            mpi::cube_neighbors(rank.id(), nranks, 6);
+        while (step.next()) {
+          if (step.region_start()) co_await rank.barrier();
+          step.mark();
+          // --- Assembly phase ---
+          co_await rank.compute(assembly_sig, elems_local);
+          // Element contributions on subdomain interfaces are exchanged
+          // once.
+          co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
+          step.lap(kAssembly);
 
-    const double makespan =
-        world.run([&, halo_bytes](mpi::Rank& rank) -> sim::Task<> {
-          const std::vector<int> neighbors =
-              mesh_neighbors(rank.id(), nranks);
-          for (std::size_t i = 0; i < steps.size(); ++i) {
-            if (want_per_step && i > 0 && steps[i] != steps[i - 1] + 1) {
-              // Region start: align the ranks so skew left behind by an
-              // unrelated sampled region does not bleed into this one.
-              co_await rank.barrier();
-            }
-            // --- Assembly phase ---
-            double t0 = rank.now_s();
-            co_await rank.compute(assembly_sig, elems_local);
-            // Element contributions on subdomain interfaces are exchanged
-            // once.
-            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
-            double dt = rank.now_s() - t0;
-            rank.phase_add("assembly", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("assembly", i), dt);
-            }
-
-            // --- Solver phase: CG iterations ---
-            t0 = rank.now_s();
-            for (int iter = 0; iter < config.sim_solver_iters; ++iter) {
-              co_await rank.compute(solver_sig, rows_local);
-              co_await rank.exchange(neighbors, halo_bytes, /*tag=*/2);
-              co_await rank.allreduce(16);  // two fused dot products
-              co_await rank.allreduce(16);  // convergence check
-            }
-            dt = rank.now_s() - t0;
-            rank.phase_add("solver", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("solver", i), dt);
-            }
+          // --- Solver phase: CG iterations ---
+          for (int iter = 0; iter < config.sim_solver_iters; ++iter) {
+            co_await rank.compute(solver_sig, rows_local);
+            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/2);
+            co_await rank.allreduce(16);  // two fused dot products
+            co_await rank.allreduce(16);  // convergence check
           }
-          co_return;
-        });
-    return harvest_channels(world, profile.channels, steps.size(),
-                            want_per_step, makespan);
-  };
-
-  result.sampling =
-      sampling::run_plan(profile, config.sampling, runner, config.recorder);
+          step.lap(kSolver);
+        }
+      });
   result.assembly_per_step = result.sampling.channel("assembly").mean_step_s;
   result.solver_per_step = result.sampling.channel("solver").mean_step_s;
   result.time_per_step = result.assembly_per_step + result.solver_per_step;

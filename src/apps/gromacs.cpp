@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "apps/sampled_run.h"
-#include "simmpi/world.h"
 #include "util/check.h"
 
 namespace ctesim::apps {
@@ -77,72 +76,37 @@ GromacsResult run_gromacs(const arch::MachineModel& machine, int nranks,
     return sig;
   };
 
-  const auto runner = [&](const std::vector<long long>& steps,
-                          bool want_per_step) {
-    mpi::WorldOptions options;
-    options.machine = machine;
-    options.compute_jitter = 0.02;
-    options.seed = sampling::world_seed(
-        3000 + static_cast<std::uint64_t>(nranks), config.sampling);
-    options.recorder = config.recorder;
-    mpi::World world(std::move(options),
-                     mpi::Placement::hybrid(machine.node, nranks,
-                                            ranks_per_node,
-                                            config.threads_per_rank));
-
-    const double makespan =
-        world.run([&, halo_bytes](mpi::Rank& rank) -> sim::Task<> {
-          // DD neighbors on a ~3D grid of ranks.
-          const int stride =
-              std::max(1, static_cast<int>(std::round(std::cbrt(nranks))));
-          std::vector<int> neighbors;
-          for (int delta :
-               {1, -1, stride, -stride, stride * stride, -stride * stride}) {
-            const int nb = rank.id() + delta;
-            if (nb >= 0 && nb < nranks && nb != rank.id()) {
-              neighbors.push_back(nb);
-            }
-            if (static_cast<int>(neighbors.size()) == config.dd_neighbors) {
-              break;
-            }
+  result.sampling = run_steps(
+      profile, config.sampling, config.recorder, machine,
+      /*compute_jitter=*/0.02,
+      /*seed_base=*/3000 + static_cast<std::uint64_t>(nranks),
+      mpi::Placement::hybrid(machine.node, nranks, ranks_per_node,
+                             config.threads_per_rank),
+      [&](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        // DD neighbors on a ~3D grid of ranks.
+        const std::vector<int> neighbors =
+            mpi::cube_neighbors(rank.id(), nranks, config.dd_neighbors);
+        while (step.next()) {
+          if (step.region_start()) co_await rank.barrier();
+          step.mark();
+          if (step.step() % config.nstlist == 0) {
+            co_await rank.compute(search_sig, atoms_local);
           }
-
-          for (std::size_t i = 0; i < steps.size(); ++i) {
-            if (want_per_step && i > 0 && steps[i] != steps[i - 1] + 1) {
-              // Region start: align the ranks so skew left behind by an
-              // unrelated sampled region does not bleed into this one.
-              co_await rank.barrier();
-            }
-            const double t0 = rank.now_s();
-            if (steps[i] % config.nstlist == 0) {
-              co_await rank.compute(search_sig, atoms_local);
-            }
-            // Positions out to DD neighbors.
-            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
-            co_await rank.compute(nonbonded_sig, pairs_local);
-            co_await rank.compute(bonded_sig, atoms_local);
-            // Forces back from DD neighbors.
-            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/2);
-            // MPI stack cost of the many small messages per step.
-            co_await rank.compute_seconds(
-                config.mpi_overhead_per_message *
-                (4.0 * static_cast<double>(neighbors.size()) + 2.0));
-            // Energy/virial reduction (temperature & pressure coupling).
-            co_await rank.allreduce(64);
-            const double dt = rank.now_s() - t0;
-            rank.phase_add("step", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("step", i), dt);
-            }
-          }
-          co_return;
-        });
-    return harvest_channels(world, profile.channels, steps.size(),
-                            want_per_step, makespan);
-  };
-
-  result.sampling =
-      sampling::run_plan(profile, config.sampling, runner, config.recorder);
+          // Positions out to DD neighbors.
+          co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
+          co_await rank.compute(nonbonded_sig, pairs_local);
+          co_await rank.compute(bonded_sig, atoms_local);
+          // Forces back from DD neighbors.
+          co_await rank.exchange(neighbors, halo_bytes, /*tag=*/2);
+          // MPI stack cost of the many small messages per step.
+          co_await rank.compute_seconds(
+              config.mpi_overhead_per_message *
+              (4.0 * static_cast<double>(neighbors.size()) + 2.0));
+          // Energy/virial reduction (temperature & pressure coupling).
+          co_await rank.allreduce(64);
+          step.lap();
+        }
+      });
   result.time_per_step = result.sampling.channel("step").mean_step_s;
   result.days_per_ns = result.time_per_step * steps_per_ns / 86400.0;
   return result;

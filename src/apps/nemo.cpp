@@ -1,39 +1,18 @@
 #include "apps/nemo.h"
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "apps/sampled_run.h"
-#include "simmpi/world.h"
 #include "util/check.h"
 
 namespace ctesim::apps {
 
-namespace {
-
-/// 2D process grid px x py ~ proportional to the horizontal domain.
-void choose_grid2d(int nranks, int* px, int* py) {
-  int best = 1;
-  for (int cand = 1; cand * cand <= nranks; ++cand) {
-    if (nranks % cand == 0) best = cand;
-  }
-  *px = best;
-  *py = nranks / best;
-}
-
-}  // namespace
-
 int nemo_min_nodes(const arch::MachineModel& machine,
                    const NemoConfig& config) {
-  for (int nodes = 1; nodes <= machine.num_nodes; ++nodes) {
-    // MPI-only: 48 ranks per node, each replicating configuration data.
-    const double per_node =
-        config.decomposed_bytes / nodes +
-        config.replicated_bytes_per_rank * machine.node.core_count();
-    if (per_node <= machine.node.memory_gb() * 1e9) return nodes;
-  }
-  return machine.num_nodes + 1;
+  // MPI-only: 48 ranks per node, each replicating configuration data.
+  return min_nodes_to_fit(machine, config.decomposed_bytes,
+                          config.replicated_bytes_per_rank);
 }
 
 NemoResult run_nemo(const arch::MachineModel& machine, int nodes,
@@ -46,11 +25,10 @@ NemoResult run_nemo(const arch::MachineModel& machine, int nodes,
 
   // MPI-only full population: one rank per core, as the paper runs NEMO.
   const int nranks = nodes * machine.node.core_count();
-  int px = 1;
-  int py = 1;
-  choose_grid2d(nranks, &px, &py);
-  const double local_x = static_cast<double>(config.grid_x) / px;
-  const double local_y = static_cast<double>(config.grid_y) / py;
+  // 2D process grid px x py ~ proportional to the horizontal domain.
+  const mpi::Grid2d grid = mpi::Grid2d::near_square(nranks);
+  const double local_x = static_cast<double>(config.grid_x) / grid.px;
+  const double local_y = static_cast<double>(config.grid_y) / grid.py;
   const double points_local = local_x * local_y * config.levels;
   // Halo: one row/column of the local tile, all levels, 8 B, ~4 fields.
   const auto halo_bytes = static_cast<std::uint64_t>(
@@ -82,66 +60,37 @@ NemoResult run_nemo(const arch::MachineModel& machine, int nodes,
     return sig;
   };
 
-  const auto runner = [&](const std::vector<long long>& steps,
-                          bool want_per_step) {
-    mpi::WorldOptions options;
-    options.machine = machine;
-    options.compute_jitter = 0.02;
-    options.seed = sampling::world_seed(
-        2000 + static_cast<std::uint64_t>(nodes), config.sampling);
-    options.recorder = config.recorder;
-    mpi::World world(std::move(options),
-                     mpi::Placement::per_core(machine.node, nranks));
-
-    const double makespan =
-        world.run([&, halo_bytes, px, py](mpi::Rank& rank) -> sim::Task<> {
-          // 2D Cartesian neighbors (non-periodic, like the closed ORCA
-          // domains).
-          const int cx = rank.id() % px;
-          const int cy = rank.id() / px;
-          std::vector<int> neighbors;
-          if (cx > 0) neighbors.push_back(rank.id() - 1);
-          if (cx + 1 < px) neighbors.push_back(rank.id() + 1);
-          if (cy > 0) neighbors.push_back(rank.id() - px);
-          if (cy + 1 < py) neighbors.push_back(rank.id() + px);
-
-          for (std::size_t i = 0; i < steps.size(); ++i) {
-            if (want_per_step && i > 0 && steps[i] != steps[i - 1] + 1) {
-              // Region start: align the ranks so skew left behind by an
-              // unrelated sampled region does not bleed into this one.
-              co_await rank.barrier();
-            }
-            const double t0 = rank.now_s();
-            // Field-group sweeps, each ending in a halo exchange: this
-            // interleaving is what makes the tiny-tile regime latency-bound
-            // (the paper's flattening beyond ~128 CTE-Arm nodes).
-            for (int k = 0; k < config.kernels_per_step; ++k) {
-              co_await rank.compute(dynamics_sig,
-                                    points_local / config.kernels_per_step);
-              co_await rank.compute_seconds(
-                  config.mpi_overhead_per_message * 2.0 *
-                  static_cast<double>(neighbors.size()));
-              co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
-            }
-            int reductions = config.reductions_per_step;
-            if (is_diag_step(steps[i])) reductions += config.diag_reductions;
-            for (int r = 0; r < reductions; ++r) {
-              co_await rank.allreduce(8);
-            }
-            const double dt = rank.now_s() - t0;
-            rank.phase_add("step", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("step", i), dt);
-            }
+  result.sampling = run_steps(
+      profile, config.sampling, config.recorder, machine,
+      /*compute_jitter=*/0.02,
+      /*seed_base=*/2000 + static_cast<std::uint64_t>(nodes),
+      mpi::Placement::per_core(machine.node, nranks),
+      [&](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        // 2D Cartesian neighbors (non-periodic, like the closed ORCA
+        // domains).
+        const std::vector<int> neighbors = grid.neighbors(rank.id());
+        while (step.next()) {
+          if (step.region_start()) co_await rank.barrier();
+          step.mark();
+          // Field-group sweeps, each ending in a halo exchange: this
+          // interleaving is what makes the tiny-tile regime latency-bound
+          // (the paper's flattening beyond ~128 CTE-Arm nodes).
+          for (int k = 0; k < config.kernels_per_step; ++k) {
+            co_await rank.compute(dynamics_sig,
+                                  points_local / config.kernels_per_step);
+            co_await rank.compute_seconds(
+                config.mpi_overhead_per_message * 2.0 *
+                static_cast<double>(neighbors.size()));
+            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
           }
-          co_return;
-        });
-    return harvest_channels(world, profile.channels, steps.size(),
-                            want_per_step, makespan);
-  };
-
-  result.sampling =
-      sampling::run_plan(profile, config.sampling, runner, config.recorder);
+          int reductions = config.reductions_per_step;
+          if (is_diag_step(step.step())) reductions += config.diag_reductions;
+          for (int r = 0; r < reductions; ++r) {
+            co_await rank.allreduce(8);
+          }
+          step.lap();
+        }
+      });
   result.time_per_step = result.sampling.channel("step").mean_step_s;
   result.total_time = result.sampling.total_s;
   return result;

@@ -1,12 +1,10 @@
 #include "apps/openifs.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "apps/sampled_run.h"
-#include "simmpi/world.h"
 #include "util/check.h"
 
 namespace ctesim::apps {
@@ -26,13 +24,8 @@ OpenIfsInput tc0511l91() {
 
 int openifs_min_nodes(const arch::MachineModel& machine,
                       const OpenIfsConfig& config) {
-  for (int nodes = 1; nodes <= machine.num_nodes; ++nodes) {
-    const double per_node =
-        config.input.decomposed_bytes / nodes +
-        config.replicated_bytes_per_rank * machine.node.core_count();
-    if (per_node <= machine.node.memory_gb() * 1e9) return nodes;
-  }
-  return machine.num_nodes + 1;
+  return min_nodes_to_fit(machine, config.input.decomposed_bytes,
+                          config.replicated_bytes_per_rank);
 }
 
 namespace {
@@ -111,55 +104,32 @@ OpenIfsResult run(const arch::MachineModel& machine, int nodes, int actors,
     return sig;
   };
 
-  const auto runner = [&](const std::vector<long long>& steps,
-                          bool want_per_step) {
-    mpi::WorldOptions options;
-    options.machine = machine;
-    options.compute_jitter = 0.015;
-    options.seed = sampling::world_seed(
-        4000 + static_cast<std::uint64_t>(actors), config.sampling);
-    options.recorder = config.recorder;
-    mpi::World world(std::move(options),
-                     mpi::Placement::hybrid(machine.node, actors,
-                                            actors_per_node, threads));
-
-    const double makespan = world.run(
-        [&, alltoall_bytes_per_pair](mpi::Rank& rank) -> sim::Task<> {
-          for (std::size_t i = 0; i < steps.size(); ++i) {
-            if (want_per_step && i > 0 && steps[i] != steps[i - 1] + 1) {
-              // Region start: align the ranks so skew left behind by an
-              // unrelated sampled region does not bleed into this one.
-              co_await rank.barrier();
-            }
-            const double t0 = rank.now_s();
-            // Grid-point space: physics parameterizations, column by column.
-            co_await rank.compute(physics_sig, cells_local);
-            if (is_radiation_step(steps[i])) {
-              co_await rank.compute(
-                  physics_sig, cells_local * config.radiation_physics_scale);
-            }
-            // Spectral space: FFT + Legendre transforms.
-            co_await rank.compute(spectral_sig, cells_local);
-            // Transpositions between the spaces.
-            for (int t = 0; t < config.transpositions_per_step; ++t) {
-              co_await rank.compute_seconds(alltoall_overhead);
-              co_await rank.alltoall(alltoall_bytes_per_pair);
-            }
-            co_await rank.allreduce(8);  // spectral norms / CFL diagnostics
-            const double dt = rank.now_s() - t0;
-            rank.phase_add("step", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("step", i), dt);
-            }
+  result.sampling = run_steps(
+      profile, config.sampling, config.recorder, machine,
+      /*compute_jitter=*/0.015,
+      /*seed_base=*/4000 + static_cast<std::uint64_t>(actors),
+      mpi::Placement::hybrid(machine.node, actors, actors_per_node, threads),
+      [&](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        while (step.next()) {
+          if (step.region_start()) co_await rank.barrier();
+          step.mark();
+          // Grid-point space: physics parameterizations, column by column.
+          co_await rank.compute(physics_sig, cells_local);
+          if (is_radiation_step(step.step())) {
+            co_await rank.compute(
+                physics_sig, cells_local * config.radiation_physics_scale);
           }
-          co_return;
-        });
-    return harvest_channels(world, profile.channels, steps.size(),
-                            want_per_step, makespan);
-  };
-
-  result.sampling =
-      sampling::run_plan(profile, config.sampling, runner, config.recorder);
+          // Spectral space: FFT + Legendre transforms.
+          co_await rank.compute(spectral_sig, cells_local);
+          // Transpositions between the spaces.
+          for (int t = 0; t < config.transpositions_per_step; ++t) {
+            co_await rank.compute_seconds(alltoall_overhead);
+            co_await rank.alltoall(alltoall_bytes_per_pair);
+          }
+          co_await rank.allreduce(8);  // spectral norms / CFL diagnostics
+          step.lap();
+        }
+      });
   const double step_time = result.sampling.channel("step").mean_step_s;
   result.seconds_per_day = step_time * input.steps_per_day;
   return result;

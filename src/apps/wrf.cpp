@@ -6,23 +6,9 @@
 
 #include "apps/sampled_run.h"
 #include "io/filesystem.h"
-#include "simmpi/world.h"
 #include "util/check.h"
 
 namespace ctesim::apps {
-
-namespace {
-
-void choose_grid2d(int nranks, int* px, int* py) {
-  int best = 1;
-  for (int cand = 1; cand * cand <= nranks; ++cand) {
-    if (nranks % cand == 0) best = cand;
-  }
-  *px = best;
-  *py = nranks / best;
-}
-
-}  // namespace
 
 WrfResult run_wrf(const arch::MachineModel& machine, int nodes,
                   const WrfConfig& config) {
@@ -35,11 +21,9 @@ WrfResult run_wrf(const arch::MachineModel& machine, int nodes,
       (units::Flops{config.mpi_overhead_per_message * 8.0e9} /
        machine.node.core.effective_scalar_flops())
           .value();
-  int px = 1;
-  int py = 1;
-  choose_grid2d(nranks, &px, &py);
-  const double local_x = static_cast<double>(config.grid_x) / px;
-  const double local_y = static_cast<double>(config.grid_y) / py;
+  const mpi::Grid2d grid = mpi::Grid2d::near_square(nranks);
+  const double local_x = static_cast<double>(config.grid_x) / grid.px;
+  const double local_y = static_cast<double>(config.grid_y) / grid.py;
   const double points_local = local_x * local_y * config.levels;
   const auto halo_bytes = static_cast<std::uint64_t>(
       (local_x + local_y) * config.levels * 8.0 * 3.0);
@@ -97,66 +81,36 @@ WrfResult run_wrf(const arch::MachineModel& machine, int nodes,
     return sig;
   };
 
-  const auto runner = [&](const std::vector<long long>& steps,
-                          bool want_per_step) {
-    mpi::WorldOptions options;
-    options.machine = machine;
-    options.compute_jitter = 0.015;
-    options.seed = sampling::world_seed(
-        5000 + static_cast<std::uint64_t>(nodes), config.sampling);
-    options.recorder = config.recorder;
-    mpi::World world(std::move(options),
-                     mpi::Placement::per_core(machine.node, nranks));
-
-    const double makespan =
-        world.run([&, halo_bytes, px, py](mpi::Rank& rank) -> sim::Task<> {
-          const int cx = rank.id() % px;
-          const int cy = rank.id() / px;
-          std::vector<int> neighbors;
-          if (cx > 0) neighbors.push_back(rank.id() - 1);
-          if (cx + 1 < px) neighbors.push_back(rank.id() + 1);
-          if (cy > 0) neighbors.push_back(rank.id() - px);
-          if (cy + 1 < py) neighbors.push_back(rank.id() + px);
-
-          for (std::size_t i = 0; i < steps.size(); ++i) {
-            if (want_per_step && i > 0 && steps[i] != steps[i - 1] + 1) {
-              // Region start: align the ranks so skew left behind by an
-              // unrelated sampled region does not bleed into this one.
-              co_await rank.barrier();
-            }
-            const double t0 = rank.now_s();
-            for (int k = 0; k < config.halo_exchanges_per_step; ++k) {
-              co_await rank.compute(
-                  dynamics_sig,
-                  points_local / config.halo_exchanges_per_step);
-              co_await rank.compute_seconds(
-                  mpi_overhead * 2.0 * static_cast<double>(neighbors.size()));
-              co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
-            }
-            co_await rank.compute(physics_sig, points_local);
-            if (is_frame_step(steps[i])) {
-              // Frame write inside its step: WRF's serial writer gathers to
-              // rank 0, the MPI-IO path charges every rank its stripe.
-              if (config.parallel_io) {
-                co_await rank.compute_seconds(per_frame);
-              } else if (rank.id() == 0) {
-                co_await rank.compute_seconds(per_frame);
-              }
-            }
-            const double dt = rank.now_s() - t0;
-            rank.phase_add("step", dt);
-            if (want_per_step) {
-              rank.phase_add(sampling::step_key("step", i), dt);
+  result.sampling = run_steps(
+      profile, config.sampling, config.recorder, machine,
+      /*compute_jitter=*/0.015,
+      /*seed_base=*/5000 + static_cast<std::uint64_t>(nodes),
+      mpi::Placement::per_core(machine.node, nranks),
+      [&](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        const std::vector<int> neighbors = grid.neighbors(rank.id());
+        while (step.next()) {
+          if (step.region_start()) co_await rank.barrier();
+          step.mark();
+          for (int k = 0; k < config.halo_exchanges_per_step; ++k) {
+            co_await rank.compute(
+                dynamics_sig, points_local / config.halo_exchanges_per_step);
+            co_await rank.compute_seconds(
+                mpi_overhead * 2.0 * static_cast<double>(neighbors.size()));
+            co_await rank.exchange(neighbors, halo_bytes, /*tag=*/1);
+          }
+          co_await rank.compute(physics_sig, points_local);
+          if (is_frame_step(step.step())) {
+            // Frame write inside its step: WRF's serial writer gathers to
+            // rank 0, the MPI-IO path charges every rank its stripe.
+            if (config.parallel_io) {
+              co_await rank.compute_seconds(per_frame);
+            } else if (rank.id() == 0) {
+              co_await rank.compute_seconds(per_frame);
             }
           }
-          co_return;
-        });
-    return harvest_channels(world, profile.channels, steps.size(),
-                            want_per_step, makespan);
-  };
-
-  result.sampling =
-      sampling::run_plan(profile, config.sampling, runner, config.recorder);
+          step.lap();
+        }
+      });
   result.time_per_step = result.sampling.channel("step").mean_step_s;
 
   if (config.io_enabled && !frames_in_step) {

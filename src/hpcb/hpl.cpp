@@ -3,22 +3,12 @@
 #include <cmath>
 
 #include "arch/calibration.h"
+#include "simmpi/placement.h"
 #include "util/check.h"
 
 namespace ctesim::hpcb {
 
 namespace {
-
-/// P x Q = n with P <= Q and P as close to sqrt(n) as possible (the rule
-/// the paper states for choosing the grid).
-void choose_grid(int nranks, int* p, int* q) {
-  int best_p = 1;
-  for (int cand = 1; cand * cand <= nranks; ++cand) {
-    if (nranks % cand == 0) best_p = cand;
-  }
-  *p = best_p;
-  *q = nranks / best_p;
-}
 
 double log2_ceil(int n) {
   int stages = 0;
@@ -61,7 +51,9 @@ HplPoint HplModel::run(int nodes) const {
   const double n = point.n;
 
   const int nranks = nodes * config_.ranks_per_node;
-  choose_grid(nranks, &point.p, &point.q);
+  const mpi::Grid2d grid = mpi::Grid2d::near_square(nranks);
+  point.p = grid.px;
+  point.q = grid.py;
   const double p = point.p;
   const double q = point.q;
 

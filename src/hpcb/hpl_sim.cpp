@@ -9,19 +9,6 @@
 
 namespace ctesim::hpcb {
 
-namespace {
-
-void choose_grid(int nranks, int* p, int* q) {
-  int best_p = 1;
-  for (int cand = 1; cand * cand <= nranks; ++cand) {
-    if (nranks % cand == 0) best_p = cand;
-  }
-  *p = best_p;
-  *q = nranks / best_p;
-}
-
-}  // namespace
-
 HplSimResult run_hpl_sim(const arch::MachineModel& machine, int nodes,
                          const HplConfig& config, int step_stride) {
   CTESIM_EXPECTS(nodes >= 1 && nodes <= machine.num_nodes);
@@ -30,9 +17,9 @@ HplSimResult run_hpl_sim(const arch::MachineModel& machine, int nodes,
   const double mem_bytes = machine.node.memory_gb() * 1e9 * nodes;
   const double n = std::floor(std::sqrt(config.mem_fraction * mem_bytes / 8.0));
   const int nranks = nodes * config.ranks_per_node;
-  int p = 1;
-  int q = 1;
-  choose_grid(nranks, &p, &q);
+  const mpi::Grid2d grid = mpi::Grid2d::near_square(nranks);
+  const int p = grid.px;
+  const int q = grid.py;
   const double rank_rate = machine.node.peak_flops().value() *
                            config.dgemm_efficiency / config.ranks_per_node;
   const double nb = config.nb;

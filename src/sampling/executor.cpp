@@ -17,10 +17,6 @@ const char* name_of(Mode mode) {
   return mode == Mode::kExact ? "exact" : "sampled";
 }
 
-std::string step_key(const std::string& channel, std::size_t position) {
-  return channel + "#" + std::to_string(position);
-}
-
 double Outcome::speedup() const {
   if (steps_simulated <= 0) return 1.0;
   return static_cast<double>(steps_total) /
@@ -111,8 +107,8 @@ Outcome run_plan(const StepProfile& profile, const SamplingPlan& plan,
     CTESIM_EXPECTS(res.accum.size() == nch);
     for (std::size_t c = 0; c < nch; ++c) {
       // Legacy arithmetic order, bit-for-bit: the old apps computed
-      // phase_max / sim_steps [* scale] and then multiplied by the full
-      // step count. Do not reassociate.
+      // slowest-rank sum / sim_steps [* scale] and then multiplied by the
+      // full step count. Do not reassociate.
       double mean = res.accum[c] / static_cast<double>(window);
       mean = mean * profile.channels[c].scale;
       out.channels[c].mean_step_s = mean;

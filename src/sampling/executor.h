@@ -7,9 +7,10 @@
 //
 // Exact mode simulates the leading `exact_window` steps and extrapolates
 // linearly in the legacy arithmetic order — bit-identical to the old
-// per-app `phase_max / sim_steps * steps` code it replaced (golden tests
-// enforce this). Sampled mode detects phases, simulates K representatives
-// per phase plus a warmup prefix, and reports a stratified estimate:
+// per-app `slowest-rank sum / sim_steps * steps` code it replaced
+// (golden tests enforce this). Sampled mode detects phases, simulates K
+// representatives per phase plus a warmup prefix, and reports a
+// stratified estimate:
 //
 //   total   = sum_p  scale * N_p * mean_p
 //   var     = sum_p (scale * N_p)^2 * var_p / K_p
@@ -38,7 +39,7 @@ namespace ctesim::sampling {
 /// runner.
 struct StepRunResult {
   /// accum[c]: slowest-rank accumulated seconds of channel c over the whole
-  /// pass (the legacy `World::phase_max(channel)` aggregate).
+  /// pass (each rank's seconds summed in step order, then the maximum).
   std::vector<double> accum;
   /// per_rank_step[c][i][r]: seconds rank r spent in channel c at the i-th
   /// requested step. Filled only when the executor asked for it. Kept
@@ -52,14 +53,11 @@ struct StepRunResult {
 
 /// Simulate the given step indices (ascending, distinct) and report the
 /// per-channel seconds. `want_per_step` is false in exact mode so large
-/// windows do not pay per-step phase bookkeeping; when true, per_step must
-/// be filled (use step_key() names with World::phase_add/phase_max).
+/// windows do not pay per-step bookkeeping; when true, per_rank_step must
+/// be filled. The app proxies' runner is apps::run_steps
+/// (apps/sampled_run.h).
 using StepRunner = std::function<StepRunResult(
     const std::vector<long long>& steps, bool want_per_step)>;
-
-/// Phase name an app runner reports the i-th requested step's channel
-/// seconds under when per-step resolution was asked for: "<channel>#<i>".
-std::string step_key(const std::string& channel, std::size_t position);
 
 /// Extrapolated estimate for one channel.
 struct ChannelEstimate {

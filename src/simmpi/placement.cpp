@@ -1,6 +1,7 @@
 #include "simmpi/placement.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ctesim::mpi {
 
@@ -72,6 +73,39 @@ Placement Placement::hybrid(const arch::NodeModel& node, int nranks,
     };
   }
   return Placement(std::move(slots), ranks_per_node);
+}
+
+Grid2d Grid2d::near_square(int nranks) {
+  Grid2d grid;
+  for (int cand = 1; cand * cand <= nranks; ++cand) {
+    if (nranks % cand == 0) grid.px = cand;
+  }
+  grid.py = nranks / grid.px;
+  return grid;
+}
+
+std::vector<int> Grid2d::neighbors(int rank) const {
+  const int cx = rank % px;
+  const int cy = rank / px;
+  std::vector<int> out;
+  if (cx > 0) out.push_back(rank - 1);
+  if (cx + 1 < px) out.push_back(rank + 1);
+  if (cy > 0) out.push_back(rank - px);
+  if (cy + 1 < py) out.push_back(rank + px);
+  return out;
+}
+
+std::vector<int> cube_neighbors(int rank, int nranks, int max_count) {
+  const int stride =
+      std::max(1, static_cast<int>(std::round(std::cbrt(nranks))));
+  std::vector<int> out;
+  for (int delta :
+       {1, -1, stride, -stride, stride * stride, -stride * stride}) {
+    const int nb = rank + delta;
+    if (nb >= 0 && nb < nranks && nb != rank) out.push_back(nb);
+    if (static_cast<int>(out.size()) == max_count) break;
+  }
+  return out;
 }
 
 }  // namespace ctesim::mpi

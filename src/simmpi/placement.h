@@ -5,6 +5,7 @@
 //   - hybrid: R ranks per node × T threads (Gromacs 8×6)
 //   - per_node: one aggregated rank per node (fast large-scale sweeps; the
 //     communication structure across nodes is unchanged)
+// and the two rank-neighbour patterns the workloads exchange halos over.
 #pragma once
 
 #include <vector>
@@ -62,5 +63,26 @@ class Placement {
   int nodes_used_ = 0;
   int ranks_per_node_ = 1;
 };
+
+/// A px x py process grid; rank r sits at column r % px, row r / px.
+struct Grid2d {
+  int px = 1;
+  int py = 1;
+
+  /// The near-square grid of `nranks`: px the largest divisor with
+  /// px * px <= nranks, py = nranks / px (so px <= py). The rule the paper
+  /// states for HPL's P x Q grid.
+  static Grid2d near_square(int nranks);
+
+  /// `rank`'s neighbours on the non-periodic grid, in exchange order
+  /// -x, +x, -y, +y.
+  std::vector<int> neighbors(int rank) const;
+};
+
+/// Neighbours of `rank` in a ~cubic decomposition of `nranks` ranks: the
+/// ranks at +-1, +-s and +-s*s for s = round(cbrt(nranks)), in that order,
+/// skipping those outside [0, nranks), and stopping once `max_count` were
+/// found.
+std::vector<int> cube_neighbors(int rank, int nranks, int max_count);
 
 }  // namespace ctesim::mpi

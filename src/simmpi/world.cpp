@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -424,41 +425,6 @@ double World::run(const RankFn& body) {
   sim::Time end = engine_.now();
   for (const auto& rank : ranks_) end = std::max(end, rank->clock_);
   return sim::to_seconds(end);
-}
-
-void World::add_phase_time(int rank, const std::string& phase,
-                           double seconds) {
-  CTESIM_EXPECTS(rank >= 0 && rank < num_ranks());
-  auto& times = phase_times_[phase];
-  times.resize(static_cast<std::size_t>(num_ranks()), 0.0);
-  times[static_cast<std::size_t>(rank)] += seconds;
-}
-
-double World::phase_max(const std::string& phase) const {
-  auto it = phase_times_.find(phase);
-  if (it == phase_times_.end()) return 0.0;
-  return *std::max_element(it->second.begin(), it->second.end());
-}
-
-std::vector<double> World::phase_times(const std::string& phase) const {
-  auto it = phase_times_.find(phase);
-  if (it == phase_times_.end()) return {};
-  return it->second;
-}
-
-double World::phase_avg(const std::string& phase) const {
-  auto it = phase_times_.find(phase);
-  if (it == phase_times_.end() || it->second.empty()) return 0.0;
-  double sum = 0.0;
-  for (double t : it->second) sum += t;
-  return sum / static_cast<double>(it->second.size());
-}
-
-std::vector<std::string> World::phase_names() const {
-  std::vector<std::string> names;
-  names.reserve(phase_times_.size());
-  for (const auto& [name, times] : phase_times_) names.push_back(name);
-  return names;
 }
 
 World::Delivery World::delivery(int src, int dst, std::uint64_t bytes,

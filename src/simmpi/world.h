@@ -23,11 +23,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -146,20 +144,6 @@ class World {
   /// order) with its own collective context.
   Group create_group(std::vector<int> members);
 
-  // --- per-phase timing, aggregated across ranks -------------------------
-  void add_phase_time(int rank, const std::string& phase, double seconds);
-  /// Slowest rank's accumulated time for a phase ("elapsed time of the
-  /// slowest process", as the paper reports Alya phases). 0 if unknown.
-  double phase_max(const std::string& phase) const;
-  /// Mean across ranks that reported the phase. 0 if unknown.
-  double phase_avg(const std::string& phase) const;
-  /// Per-rank accumulated times for a phase, indexed by rank (0 for ranks
-  /// that never reported it). Empty if the phase is unknown. Used by the
-  /// sampling executor, which extrapolates each rank separately before
-  /// taking the slowest — the unbiased estimator of phase_max().
-  std::vector<double> phase_times(const std::string& phase) const;
-  std::vector<std::string> phase_names() const;
-
   /// Time spent queueing behind busy links so far (0 unless
   /// WorldOptions::congestion is on).
   double network_queueing_seconds() const {
@@ -245,7 +229,6 @@ class World {
   };
   std::vector<Mailboxes> mailboxes_;
   std::vector<Rng> jitter_;
-  std::map<std::string, std::vector<double>> phase_times_;
   std::unique_ptr<Group> world_group_;
   std::unique_ptr<net::CongestionModel> congestion_;
   /// Scheduled collectives: per (group, op) entry state and the evaluator's
@@ -401,11 +384,6 @@ class Rank {
   sim::Task<> compute(const roofline::KernelSig& sig, double elems);
   /// Occupy this rank for a fixed time (I/O waits, serial sections).
   sim::Task<> compute_seconds(double seconds);
-
-  /// Accumulate `seconds` into a named phase for reporting.
-  void phase_add(const std::string& phase, double seconds) {
-    world_->add_phase_time(id_, phase, seconds);
-  }
 
  private:
   friend class World;

@@ -1,11 +1,17 @@
 // Tests for the five application proxies against the paper's Section V
-// anchors (slowdowns, memory minima, crossover points, anomalies).
+// anchors (slowdowns, memory minima, crossover points, anomalies), and for
+// the step driver they share (apps/sampled_run.h).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "apps/alya.h"
 #include "apps/gromacs.h"
 #include "apps/nemo.h"
 #include "apps/openifs.h"
+#include "apps/sampled_run.h"
 #include "apps/wrf.h"
 #include "arch/configs.h"
 
@@ -228,6 +234,111 @@ TEST(Wrf, MareNostrumAlwaysAhead) {
               run_wrf(mn4(), nodes).total_time)
         << nodes;
   }
+}
+
+// --------------------------------------------------------- step driver --
+
+// Four ranks, two channels, a pass over steps {0, 1, 5, 6}: rank r computes
+// (r + 1) * 10 ms in channel 0 and (4 - r) * 5 ms in channel 1 at every
+// step, so the ranks drift apart before the gap at step 5. The body records
+// its own clock at the mark and after each lap; the driver must report the
+// differences of those readings, summed per rank in step order.
+struct DriverRun {
+  sampling::StepRunResult res;
+  std::vector<std::vector<long long>> region_starts;  ///< [rank]
+  std::vector<std::vector<double>> clock;  ///< [rank][3 * position + k]
+};
+
+DriverRun run_driver(const std::vector<long long>& steps,
+                     bool want_per_step) {
+  constexpr int kRanks = 4;
+  DriverRun run;
+  run.region_starts.resize(kRanks);
+  run.clock.resize(kRanks);
+  mpi::WorldOptions options;
+  options.machine = cte();
+  run.res = run_step_pass(
+      std::move(options), mpi::Placement::per_node(cte().node, kRanks),
+      /*num_channels=*/2, steps, want_per_step,
+      [&run](mpi::Rank& rank, StepCursor step) -> sim::Task<> {
+        const auto r = static_cast<std::size_t>(rank.id());
+        while (step.next()) {
+          if (step.region_start()) {
+            run.region_starts[r].push_back(step.step());
+            co_await rank.barrier();
+          }
+          step.mark();
+          run.clock[r].push_back(rank.now_s());
+          co_await rank.compute_seconds(0.010 * (rank.id() + 1));
+          step.lap(0);
+          run.clock[r].push_back(rank.now_s());
+          co_await rank.compute_seconds(0.005 * (kRanks - rank.id()));
+          step.lap(1);
+          run.clock[r].push_back(rank.now_s());
+        }
+      });
+  return run;
+}
+
+TEST(StepDriver, PerRankStepSecondsAndSlowestRankSums) {
+  const std::vector<long long> steps = {0, 1, 5, 6};
+  const DriverRun run = run_driver(steps, /*want_per_step=*/true);
+  const auto& per = run.res.per_rank_step;
+  ASSERT_EQ(per.size(), 2u);
+  ASSERT_EQ(run.res.accum.size(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(per[c].size(), steps.size());
+    std::vector<double> sums(4, 0.0);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      ASSERT_EQ(per[c][i].size(), 4u);
+      for (std::size_t r = 0; r < 4; ++r) {
+        const std::vector<double>& t = run.clock[r];
+        const double dt = t[3 * i + c + 1] - t[3 * i + c];
+        EXPECT_EQ(per[c][i][r], dt) << c << " " << i << " " << r;
+        const double nominal =
+            c == 0 ? 0.010 * static_cast<double>(r + 1)
+                   : 0.005 * static_cast<double>(4 - r);
+        EXPECT_NEAR(dt, nominal, 1e-12);
+        sums[r] += dt;
+      }
+    }
+    EXPECT_EQ(run.res.accum[c], *std::max_element(sums.begin(), sums.end()));
+  }
+  // Slowest rank: rank 3 in channel 0 (4 x 40 ms), rank 0 in channel 1
+  // (4 x 20 ms).
+  EXPECT_NEAR(run.res.accum[0], 0.160, 1e-12);
+  EXPECT_NEAR(run.res.accum[1], 0.080, 1e-12);
+  EXPECT_GT(run.res.makespan_s, 0.179);  // rank 3 is busy 4 x 45 ms
+}
+
+TEST(StepDriver, BarrierRunsAtTheGapOnly) {
+  const DriverRun run = run_driver({0, 1, 5, 6}, /*want_per_step=*/true);
+  double slowest_before_gap = 0.0;
+  for (const std::vector<double>& t : run.clock) {
+    slowest_before_gap = std::max(slowest_before_gap, t[5]);
+  }
+  for (std::size_t r = 0; r < 4; ++r) {
+    const std::vector<double>& t = run.clock[r];
+    EXPECT_EQ(run.region_starts[r], std::vector<long long>{5}) << r;
+    // Contiguous steps start where the rank's previous step ended...
+    EXPECT_EQ(t[3], t[2]) << r;
+    EXPECT_EQ(t[9], t[8]) << r;
+    // ...while step 5 starts after every rank finished step 1.
+    EXPECT_GE(t[6], slowest_before_gap) << r;
+  }
+  // The ranks drifted apart before the gap (per-step 30 ms ... 45 ms), so
+  // at least rank 0 waited there.
+  EXPECT_GT(run.clock[0][6], run.clock[0][5]);
+}
+
+TEST(StepDriver, ExactPassSkipsPerStepSecondsAndBarriers) {
+  const DriverRun run = run_driver({0, 1, 2, 3}, /*want_per_step=*/false);
+  EXPECT_TRUE(run.res.per_rank_step.empty());
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_TRUE(run.region_starts[r].empty()) << r;
+  }
+  EXPECT_NEAR(run.res.accum[0], 0.160, 1e-12);
+  EXPECT_NEAR(run.res.accum[1], 0.080, 1e-12);
 }
 
 }  // namespace

@@ -126,11 +126,6 @@ TEST(Phases, DeterministicAcrossCalls) {
 
 // --- executor plumbing ----------------------------------------------------
 
-TEST(Executor, StepKeySpellingIsStable) {
-  EXPECT_EQ(step_key("step", 0), "step#0");
-  EXPECT_EQ(step_key("solver", 12), "solver#12");
-}
-
 TEST(Executor, UnknownChannelIsAContractViolation) {
   Outcome out;
   out.channels.push_back({"step", 0.0, 0.0, 0.0, 0.0});
@@ -148,8 +143,9 @@ TEST(Executor, SpeedupIsStepsRatio) {
 // --- exact mode: byte-identity with the legacy extrapolation --------------
 //
 // Golden strings captured from the pre-sampling implementation (the apps'
-// own phase_max/sim_steps multiply-out). The executor's exact mode must
-// reproduce them bit for bit — equal %.17g spellings iff equal doubles.
+// own slowest-rank-sum / sim_steps multiply-out). The executor's exact
+// mode must reproduce them bit for bit — equal %.17g spellings iff equal
+// doubles.
 
 TEST(ExactGolden, WrfCteArm4Nodes) {
   const auto r = apps::run_wrf(arch::cte_arm(), 4);

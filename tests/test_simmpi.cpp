@@ -53,6 +53,20 @@ TEST(Placement, HybridLayout) {
   EXPECT_EQ(p.slot(2).domain, 1);  // cores 12..17 on CMG 1
 }
 
+TEST(Placement, NearSquareGridAndNeighbourOrder) {
+  const Grid2d g = Grid2d::near_square(384);  // NEMO at 8 CTE-Arm nodes
+  EXPECT_EQ(g.px, 16);
+  EXPECT_EQ(g.py, 24);
+  EXPECT_EQ(Grid2d::near_square(7).px, 1);  // a prime: one row
+  // Exchange order -x, +x, -y, +y; edges drop their missing sides.
+  EXPECT_EQ(g.neighbors(17), (std::vector<int>{16, 18, 1, 33}));
+  EXPECT_EQ(g.neighbors(0), (std::vector<int>{1, 16}));
+  // +-1, +-s, +-s*s for s = round(cbrt(64)) = 4, cut at max_count.
+  EXPECT_EQ(cube_neighbors(21, 64, 6),
+            (std::vector<int>{22, 20, 25, 17, 37, 5}));
+  EXPECT_EQ(cube_neighbors(0, 64, 2), (std::vector<int>{1, 4}));
+}
+
 TEST(World, SendRecvAdvancesTimeByTransfer) {
   auto opts = cte_options();
   World world(std::move(opts), Placement::per_node(arch::cte_arm().node, 2));
@@ -324,19 +338,6 @@ TEST_P(CollectiveTest, BcastAllgatherAlltoallComplete) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectiveTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 12, 16, 31, 48));
-
-TEST(World, PhaseTimersTrackMaxAndAvg) {
-  auto opts = cte_options();
-  World world(std::move(opts), Placement::per_node(arch::cte_arm().node, 4));
-  world.run([&](Rank& r) -> sim::Task<> {
-    const double t0 = r.now_s();
-    co_await r.compute_seconds(0.1 * (r.id() + 1));
-    r.phase_add("work", r.now_s() - t0);
-  });
-  EXPECT_NEAR(world.phase_max("work"), 0.4, 1e-9);
-  EXPECT_NEAR(world.phase_avg("work"), 0.25, 1e-9);
-  EXPECT_EQ(world.phase_max("nonexistent"), 0.0);
-}
 
 TEST(World, ComputeJitterOnlySlowsDown) {
   for (int trial = 0; trial < 3; ++trial) {

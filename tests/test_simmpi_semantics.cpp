@@ -160,21 +160,6 @@ TEST(Semantics, ExchangeCompletesAllNeighborsConcurrently) {
   EXPECT_LT(t, 3.0 * pingpong);
 }
 
-TEST(Semantics, PhaseAvgAndMaxRelate) {
-  WorldOptions options = quiet_options();
-  World world(std::move(options),
-              Placement::per_node(arch::cte_arm().node, 4));
-  world.run([](Rank& r) -> sim::Task<> {
-    const double t0 = r.now_s();
-    co_await r.compute_seconds(0.1 * (r.id() + 1));
-    r.phase_add("w", r.now_s() - t0);
-  });
-  EXPECT_GE(world.phase_max("w"), world.phase_avg("w"));
-  const auto names = world.phase_names();
-  ASSERT_EQ(names.size(), 1u);
-  EXPECT_EQ(names[0], "w");
-}
-
 // --- the point-to-point awaiter's paths -----------------------------------
 
 WorldOptions traced_options() {
