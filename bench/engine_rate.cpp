@@ -15,6 +15,8 @@
 //     dominates the cluster benchmarks, and how it grows with machine size.
 //   - BM_MailboxPingPong (384 and 9216 ranks) times the simulated-MPI
 //     layer: message matching through World's mailboxes, in messages/sec.
+//     BM_MailboxPingPongComputed/384 is its twin with the delivery memo
+//     off, timed in the same run; check_engine_rate.py gates their ratio.
 //   - BM_Collective times the scheduled collectives alone: allreduce(8) at
 //     384 and 9216 ranks and OpenIFS's alltoall over 192 one-per-node
 //     actors, in the messages/sec their algorithms stand for.
@@ -416,12 +418,15 @@ BENCHMARK(BM_AllocateContiguous)
 // nodes, 384 ranks (8 nodes) and 9216 (192). Each iteration builds, runs
 // and tears down one World, so every mailbox is created on first touch
 // and then reused. A run has as many steps as make ~300k messages.
-// events_per_s counts messages.
+// events_per_s counts messages. The Computed twin sets a factor-1.0
+// receive window on node 0: every transfer keeps its numbers, but the
+// World then evaluates each delivery instead of reusing its offsets
+// (docs/ENGINE.md section 8).
 // ---------------------------------------------------------------------------
 constexpr int kPingPongHaloBytes = 4096;
 constexpr double kPingPongMessagesPerRun = 300000.0;
 
-void BM_MailboxPingPong(benchmark::State& state) {
+void mailbox_ping_pong(benchmark::State& state, bool computed) {
   const int nranks = static_cast<int>(state.range(0));
   const arch::MachineModel machine = arch::cte_arm();
   const mpi::Grid2d grid = mpi::Grid2d::near_square(nranks);
@@ -446,6 +451,7 @@ void BM_MailboxPingPong(benchmark::State& state) {
     options.machine = machine;
     mpi::World world(std::move(options),
                      mpi::Placement::per_core(machine.node, nranks));
+    if (computed) world.network().set_recv_degradation(0, 1.0);
     world.run([grid, steps](mpi::Rank& rank) -> sim::Task<> {
       const std::vector<int> neighbors = grid.neighbors(rank.id());
       for (int s = 0; s < steps; ++s) {
@@ -461,8 +467,18 @@ void BM_MailboxPingPong(benchmark::State& state) {
   state.counters["events_per_run"] = benchmark::Counter(messages_per_run);
 }
 
+void BM_MailboxPingPong(benchmark::State& state) {
+  mailbox_ping_pong(state, /*computed=*/false);
+}
+
+void BM_MailboxPingPongComputed(benchmark::State& state) {
+  mailbox_ping_pong(state, /*computed=*/true);
+}
+
 // Pinned like the cluster benchmarks: one 9216-rank run takes ~0.5 s.
 BENCHMARK(BM_MailboxPingPong)->Arg(384)->Iterations(10)->Unit(
+    benchmark::kMillisecond);
+BENCHMARK(BM_MailboxPingPongComputed)->Arg(384)->Iterations(10)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_MailboxPingPong)->Arg(9216)->Iterations(3)->Unit(
     benchmark::kMillisecond);

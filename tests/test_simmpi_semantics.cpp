@@ -428,6 +428,35 @@ TEST(P2P, RingExchangeEventCountIsPinned) {
   EXPECT_EQ(world.engine().events_processed(), 7937u);
 }
 
+TEST(P2P, RingExchangeOpCountsArePinned) {
+  // The run above. Each rank resolves its exchange route once: two
+  // neighbours, an outgoing and an incoming mailbox each, so the key scans
+  // are ranks x neighbours x 2 (1536), however many steps run. The other
+  // 9 steps reuse the route (3456 hits) with its delivery offsets. The
+  // deliveries left, 768 route resolutions and the allreduce schedules'
+  // 10 x 2304 messages, go through the delivery table. On 8 nodes at two
+  // sizes it evaluates the formula 76 times: once per (node pair, bytes)
+  // key, again after a slot collision.
+  WorldOptions options;
+  options.machine = arch::cte_arm();
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, 384));
+  world.run([](Rank& rank) -> sim::Task<> {
+    const int n = rank.size();
+    const std::vector<int> ring{(rank.id() + n - 1) % n, (rank.id() + 1) % n};
+    for (int step = 0; step < 10; ++step) {
+      co_await rank.exchange(ring, 4096, /*tag=*/1);
+      co_await rank.allreduce(8);
+    }
+  });
+  const World::OpCounts& c = world.op_counts();
+  EXPECT_EQ(c.mailbox_scans, 1536u);
+  EXPECT_EQ(c.route_misses, 384u);
+  EXPECT_EQ(c.route_hits, 3456u);
+  EXPECT_EQ(c.delivery_evals + c.delivery_memo_hits, 768u + 23040u);
+  EXPECT_EQ(c.delivery_evals, 76u);
+}
+
 TEST(Clock, ComputeOnlyWorldDispatchesOnlyItsSpawns) {
   // Compute moves only the rank's clock: 384 ranks of jittered compute
   // dispatch exactly their 384 spawns (3584 when every nonzero compute
