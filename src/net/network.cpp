@@ -40,6 +40,7 @@ void Network::set_recv_degradation(int node, double factor) {
   CTESIM_EXPECTS(factor > 0.0 && factor <= 1.0);
   recv_degradation_[node] = {
       {0.0, std::numeric_limits<double>::infinity(), factor}};
+  ++revision_;
 }
 
 void Network::add_recv_degradation(int node, double factor, double start_s,
@@ -48,9 +49,13 @@ void Network::add_recv_degradation(int node, double factor, double start_s,
   CTESIM_EXPECTS(factor > 0.0 && factor <= 1.0);
   CTESIM_EXPECTS(start_s >= 0.0 && end_s > start_s);
   recv_degradation_[node].push_back({start_s, end_s, factor});
+  ++revision_;
 }
 
-void Network::clear_faults() { recv_degradation_.clear(); }
+void Network::clear_faults() {
+  recv_degradation_.clear();
+  ++revision_;
+}
 
 double Network::recv_factor(int node, double now_s) const {
   const auto it = recv_degradation_.find(node);
