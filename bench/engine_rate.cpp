@@ -11,8 +11,11 @@
 //     number measured on this machine today, not a changelog memory —
 //     tools/perf/check_engine_rate.py gates dispatch/legacy >= 2x.
 //   - Placement benchmarks (BM_TorusHops, BM_AllocateContiguous at 192,
-//     1536 and 12288 nodes) time the topology and allocator layer that
-//     dominates the cluster benchmarks, and how it grows with machine size.
+//     1536 and 12288 nodes, BM_AllocateContiguousNearFull) time the
+//     topology and allocator layer that dominates the cluster benchmarks,
+//     and how it grows with machine size and load.
+//   - BM_BackfillScan times the EASY queue's next-startable scan on a deep
+//     queue where nothing can start.
 //   - BM_MailboxPingPong (384 and 9216 ranks) times the simulated-MPI
 //     layer: message matching through World's mailboxes, in messages/sec.
 //     BM_MailboxPingPongComputed/384 is its twin with the delivery memo
@@ -47,6 +50,7 @@
 #include "apps/openifs.h"
 #include "arch/configs.h"
 #include "batch/cluster.h"
+#include "batch/queue.h"
 #include "batch/workload.h"
 #include "core/engine.h"
 #include "core/event_queue.h"
@@ -384,25 +388,34 @@ void BM_TorusHops(benchmark::State& state) {
 
 BENCHMARK(BM_TorusHops);
 
-/// One 16-node contiguous placement (and its release) on a machine with a
-/// seeded random half of its nodes busy.
-void BM_AllocateContiguous(benchmark::State& state) {
+/// One `count`-node contiguous placement (and its release) on a machine
+/// with a seeded random `busy_share` of its nodes busy.
+void allocate_contiguous(benchmark::State& state, double busy_share,
+                         int count) {
   const net::TorusTopology torus(
       torus_dims(static_cast<int>(state.range(0))));
   sched::Allocator alloc(torus);
   Rng rng(5);
   std::vector<int> busy;
   for (int node = 0; node < torus.num_nodes(); ++node) {
-    if (rng.uniform() < 0.5) busy.push_back(node);
+    if (rng.uniform() < busy_share) busy.push_back(node);
   }
   alloc.occupy(busy);
   for (auto _ : state) {
-    const auto nodes = alloc.allocate(16, sched::Policy::kContiguous);
+    const auto nodes = alloc.allocate(count, sched::Policy::kContiguous);
     benchmark::DoNotOptimize(nodes.data());
     alloc.release(nodes);
   }
   state.counters["events_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.counters["positions_per_alloc"] = benchmark::Counter(
+      static_cast<double>(alloc.positions_walked()) /
+      static_cast<double>(state.iterations()));
+}
+
+/// 16 nodes on a half-busy machine.
+void BM_AllocateContiguous(benchmark::State& state) {
+  allocate_contiguous(state, 0.5, 16);
 }
 
 BENCHMARK(BM_AllocateContiguous)
@@ -410,6 +423,64 @@ BENCHMARK(BM_AllocateContiguous)
     ->Arg(1536)
     ->Arg(12288)
     ->Unit(benchmark::kMicrosecond);
+
+/// 8 nodes on a machine about 90% busy: the regime a batch study places
+/// in, where each seed's walk passes many busy nodes.
+void BM_AllocateContiguousNearFull(benchmark::State& state) {
+  allocate_contiguous(state, 0.9, 8);
+}
+
+BENCHMARK(BM_AllocateContiguousNearFull)
+    ->Arg(192)
+    ->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Queue layer: BM_BackfillScan asks an EASY queue of `range(0)` jobs for
+// the next startable one while 47 four-node jobs hold 188 of 192 nodes and
+// a 96-node job heads the queue. Every later job is either wider than the
+// 4 free nodes or runs past the head's reservation, so each scan sorts the
+// reservations for the shadow time and walks the whole queue to return -1:
+// the worst case of the check try_start runs after every event.
+// events_per_s counts scans.
+// ---------------------------------------------------------------------------
+void BM_BackfillScan(benchmark::State& state) {
+  constexpr int kTotalNodes = 192;
+  constexpr int kFreeNodes = 4;
+  batch::JobQueue queue(batch::QueuePolicy::kEasyBackfill, kTotalNodes);
+  batch::Job head;
+  head.nodes = 96;
+  head.walltime_s = 3600.0;
+  queue.push(head);
+  Rng rng(13);
+  for (int id = 1; id < state.range(0); ++id) {
+    batch::Job job;
+    job.id = id;
+    const bool narrow = id % 2 == 0;
+    job.nodes = static_cast<int>(narrow ? rng.uniform_int(1, kFreeNodes)
+                                        : rng.uniform_int(kFreeNodes + 1, 32));
+    // Longer than any reservation, so no narrow job ends before the shadow.
+    job.walltime_s = 10000.0 + 100.0 * static_cast<double>(id);
+    queue.push(job);
+  }
+  std::vector<batch::Reservation> running;
+  for (int id = 0; id < (kTotalNodes - kFreeNodes) / 4; ++id) {
+    // Predicted ends in a scrambled order, so the shadow sort has work.
+    running.push_back({1000 + id, 100.0 * static_cast<double>((id * 17) % 47),
+                       4});
+  }
+  int found = 0;
+  for (auto _ : state) {
+    found += queue.next_startable(0.0, kFreeNodes, running);
+    benchmark::DoNotOptimize(found);
+  }
+  if (found != -static_cast<int>(state.iterations())) {
+    state.SkipWithError("a job became startable: the scan stopped early");
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_BackfillScan)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Simulated-MPI layer: BM_MailboxPingPong runs a zero-compute World with

@@ -168,7 +168,9 @@ ClusterResult run_cluster(const RuntimeModel& model,
                      allocator.drained_count();
     const double power_w = powered ? cluster_draw_w() : 0.0;
     if (powered) energy.peak_w = std::max(energy.peak_w, power_w);
-    result.frag_timeline.push_back({now_s(), allocator.fragmentation(), busy,
+    // One component BFS per sample: the timeline and the counter share it.
+    const double fragmentation = allocator.fragmentation();
+    result.frag_timeline.push_back({now_s(), fragmentation, busy,
                                     allocator.drained_count(), power_w});
     if (tracing) {
       const auto track = trace::Track::global();
@@ -179,8 +181,7 @@ ClusterResult run_cluster(const RuntimeModel& model,
                    static_cast<double>(busy));
       rec->counter(track, "batch", "utilization", now,
                    static_cast<double>(busy) / total_nodes);
-      rec->counter(track, "batch", "fragmentation", now,
-                   allocator.fragmentation());
+      rec->counter(track, "batch", "fragmentation", now, fragmentation);
       rec->counter(track, "batch", "running_jobs", now,
                    static_cast<double>(running.size()));
       rec->counter(track, "fault", "down_nodes", now,
@@ -328,12 +329,14 @@ ClusterResult run_cluster(const RuntimeModel& model,
     return cluster_draw_w() + delta_w <= options.power_cap_w;
   };
 
+  // The EASY planner's view of the running jobs, rebuilt on every pass of
+  // try_start; kept here so its storage is reused.
+  std::vector<Reservation> reservations;
   try_start = [&] {
     advance_energy();
     while (true) {
       const double t = now_s();
-      std::vector<Reservation> reservations;
-      reservations.reserve(running.size());
+      reservations.clear();
       for (const auto& [id, a] : running) {
         reservations.push_back({id, a.start_s + a.job.walltime_s,
                                 a.job.nodes});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "util/assert.h"
 #include "util/check.h"
@@ -20,6 +21,26 @@ const char* name_of(Policy policy) {
   return "?";
 }
 
+template <typename Admit>
+int Allocator::bfs(int start, std::uint32_t stamp, Admit admit) const {
+  const std::size_t degree = 2 * static_cast<std::size_t>(num_dims_);
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  queue_[tail++] = start;
+  seen_[static_cast<std::size_t>(start)] = stamp;
+  while (head < tail) {
+    const int* nb =
+        &neighbours_[static_cast<std::size_t>(queue_[head++]) * degree];
+    for (std::size_t k = 0; k < degree; ++k) {
+      if (seen_[static_cast<std::size_t>(nb[k])] != stamp && admit(nb[k])) {
+        seen_[static_cast<std::size_t>(nb[k])] = stamp;
+        queue_[tail++] = nb[k];
+      }
+    }
+  }
+  return static_cast<int>(tail);
+}
+
 Allocator::Allocator(const net::TorusTopology& topology)
     : topology_(&topology),
       num_dims_(static_cast<int>(topology.dims().size())),
@@ -29,11 +50,12 @@ Allocator::Allocator(const net::TorusTopology& topology)
       queue_(static_cast<std::size_t>(topology.num_nodes())) {
   const int n = topology.num_nodes();
   const std::vector<int>& dims = topology.dims();
-  coords_.resize(static_cast<std::size_t>(n) * dims.size());
+  const auto num_dims = static_cast<std::size_t>(num_dims_);
+  coords_.resize(static_cast<std::size_t>(n) * num_dims);
   neighbours_.reserve(2 * coords_.size());
   for (int node = 0; node < n; ++node) {
     // Row-major: last dimension varies fastest.
-    int* c = &coords_[static_cast<std::size_t>(node * num_dims_)];
+    int* c = &coords_[static_cast<std::size_t>(node) * num_dims];
     for (int d = num_dims_, rest = node; d-- > 0;) {
       c[d] = rest % dims[static_cast<std::size_t>(d)];
       rest /= dims[static_cast<std::size_t>(d)];
@@ -48,6 +70,37 @@ Allocator::Allocator(const net::TorusTopology& topology)
       }
     }
   }
+
+  // Node 0 sits at the origin, so its BFS order read as coordinates is
+  // the offset order every seed's walk translates.
+  bfs(0, next_stamp(), [](int) { return true; });
+  order_.reserve(coords_.size());
+  for (int i = 0; i < n; ++i) {
+    const int* c =
+        &coords_[static_cast<std::size_t>(queue_[static_cast<std::size_t>(i)]) *
+                 num_dims];
+    order_.insert(order_.end(), c, c + num_dims_);
+  }
+  dim_at_.push_back(0);
+  int stride = n;
+  for (std::size_t d = 0; d < num_dims; ++d) {
+    const int size = dims[d];
+    const int at = static_cast<int>(shift_.size());  // 2 * dim_at_[d]
+    stride /= size;
+    for (int j = 0; j < 2 * size; ++j) {
+      shift_.push_back(j % size * stride);
+      wrap_.push_back(std::min(j % size, size - j % size));
+    }
+    for (int x = 0; x < size; ++x) {
+      slot_dim_.push_back(static_cast<int>(d));
+      // wrap_[at + size + x - o] is wrap(x - o).
+      slot_wrap_.push_back(at + size + x);
+    }
+    dim_at_.push_back(dim_at_.back() + size);
+  }
+  near_.assign(slot_dim_.size(), 0);
+  row_.resize(num_dims);
+
   counts_.assign(static_cast<std::size_t>(
                      *std::max_element(dims.begin(), dims.end())),
                  0);
@@ -158,29 +211,14 @@ std::uint32_t Allocator::next_stamp() const {
 int Allocator::largest_free_block() const {
   // Connected components over free nodes with torus adjacency.
   const int n = topology_->num_nodes();
-  const std::size_t degree = 2 * static_cast<std::size_t>(num_dims_);
   const std::uint32_t stamp = next_stamp();
+  const auto free = [this](int node) { return !unavailable(node); };
   int best = 0;
   for (int start = 0; start < n; ++start) {
     if (unavailable(start) || seen_[static_cast<std::size_t>(start)] == stamp) {
       continue;
     }
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    queue_[tail++] = start;
-    seen_[static_cast<std::size_t>(start)] = stamp;
-    while (head < tail) {
-      const int* nb = &neighbours_[static_cast<std::size_t>(queue_[head++]) *
-                                   degree];
-      for (std::size_t k = 0; k < degree; ++k) {
-        if (seen_[static_cast<std::size_t>(nb[k])] != stamp &&
-            !unavailable(nb[k])) {
-          seen_[static_cast<std::size_t>(nb[k])] = stamp;
-          queue_[tail++] = nb[k];
-        }
-      }
-    }
-    best = std::max(best, static_cast<int>(tail));
+    best = std::max(best, bfs(start, stamp, free));
   }
   return best;
 }
@@ -266,54 +304,63 @@ std::vector<int> Allocator::allocate_contiguous(int count) {
   return nodes;
 }
 
-bool Allocator::scan_seeds(int count, int stride) {
-  // No ball scores below this floor — distinct nodes are at least one hop
-  // apart — so the first ball that reaches it cannot be beaten strictly.
-  const double floor = count > 1 ? 1.0 : 0.0;
-  double best_score = 1e300;
-  best_.clear();
-  for (int seed = 0; seed < topology_->num_nodes(); seed += stride) {
-    if (unavailable(seed)) continue;
-    grow_ball(seed, count);
-    CTESIM_DCHECK(static_cast<int>(ball_.size()) == count,
-                  "a free seed's ball must fill while count <= free_nodes()");
-    const double score = mean_pairwise_hops(ball_);
-    if (score < best_score) {
-      best_score = score;
-      best_.swap(ball_);
-      if (best_score <= floor) break;
-    }
-  }
-  return !best_.empty();
-}
-
-// The BFS below is the hottest loop of a batch study. Starting it on a
+// The walk below is the hottest loop of a batch study. Starting it on a
 // cache-line boundary keeps its speed independent of how much unrelated
 // code the linker places in front of it: without the pin, code-size
-// changes elsewhere in the library moved it and swung ctebench
-// batch_cluster's study time by ~25%.
-[[gnu::aligned(64)]] void Allocator::grow_ball(int seed, int count) {
-  const std::size_t degree = 2 * static_cast<std::size_t>(num_dims_);
-  const std::uint32_t stamp = next_stamp();
-  ball_.clear();
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  queue_[tail++] = seed;
-  seen_[static_cast<std::size_t>(seed)] = stamp;
-  while (head < tail) {
-    const int node = queue_[head++];
-    if (!unavailable(node)) {
-      ball_.push_back(node);
-      if (static_cast<int>(ball_.size()) == count) return;
+// changes elsewhere in the library moved the loop it replaced and swung
+// ctebench batch_cluster's study time by ~25%.
+[[gnu::aligned(64)]] bool Allocator::scan_seeds(int count, int stride) {
+  const int n = topology_->num_nodes();
+  const auto num_dims = static_cast<std::size_t>(num_dims_);
+  // Every ball of one scan has `count` nodes, so ordering balls by mean
+  // hops is ordering them by exact hop totals. No ball totals below
+  // `pairs` (distinct nodes are at least one hop apart), so the first
+  // ball that reaches it cannot be beaten strictly.
+  const std::int64_t pairs = std::int64_t{count} * (count - 1) / 2;
+  std::int64_t best_total = std::numeric_limits<std::int64_t>::max();
+  best_.clear();
+  for (int seed = 0; seed < n && best_total > pairs; seed += stride) {
+    if (unavailable(seed)) continue;
+    const int* c = &coords_[static_cast<std::size_t>(seed) * num_dims];
+    for (std::size_t d = 0; d < num_dims; ++d) {
+      row_[d] = 2 * dim_at_[d] + c[d];
     }
-    const int* nb = &neighbours_[static_cast<std::size_t>(node) * degree];
-    for (std::size_t k = 0; k < degree; ++k) {
-      if (seen_[static_cast<std::size_t>(nb[k])] != stamp) {
-        seen_[static_cast<std::size_t>(nb[k])] = stamp;
-        queue_[tail++] = nb[k];
+    std::fill(near_.begin(), near_.end(), 0);
+    ball_.clear();
+    std::int64_t total = 0;
+    const int* o = order_.data();
+    int i = 0;
+    for (; i < n; ++i, o += num_dims) {
+      int node = 0;
+      for (std::size_t d = 0; d < num_dims; ++d) {
+        node += shift_[static_cast<std::size_t>(row_[d] + o[d])];
+      }
+      if (unavailable(node)) continue;
+      // The node's hops to the ball so far; totals only grow, so a seed
+      // whose partial total reaches the best cannot win (ties go to the
+      // lower seed).
+      for (std::size_t d = 0; d < num_dims; ++d) {
+        total += near_[static_cast<std::size_t>(dim_at_[d] + o[d])];
+      }
+      if (total >= best_total) break;
+      ball_.push_back(node);
+      if (static_cast<int>(ball_.size()) == count) {
+        best_total = total;
+        best_.swap(ball_);
+        break;
+      }
+      // One flat pass over every dimension's slots, so the loop's trip
+      // count is the same for every node and its branch predicts.
+      for (std::size_t k = 0; k < near_.size(); ++k) {
+        near_[k] += wrap_[static_cast<std::size_t>(
+            slot_wrap_[k] - o[static_cast<std::size_t>(slot_dim_[k])])];
       }
     }
+    CTESIM_DCHECK(i < n,
+                  "a free seed's ball must fill while count <= free_nodes()");
+    positions_walked_ += static_cast<std::uint64_t>(i) + 1;
   }
+  return !best_.empty();
 }
 
 std::int64_t Allocator::total_pairwise_hops(

@@ -90,6 +90,10 @@ class Allocator {
   /// summing TorusTopology::hops over every pair.
   double mean_pairwise_hops(const std::vector<int>& nodes) const;
 
+  /// Visit-order positions read by contiguous placements so far, busy
+  /// nodes included: the work of every seed's walk, pruned or not.
+  std::uint64_t positions_walked() const { return positions_walked_; }
+
  private:
   std::vector<int> allocate_contiguous(int count);
   std::vector<int> allocate_linear(int count);
@@ -97,12 +101,13 @@ class Allocator {
 
   /// Scores the ball of every free seed in 0, stride, 2*stride, ... and
   /// leaves the best in best_. False when no tried seed was free.
+  ///
+  /// A seed's ball is the first `count` free nodes of its BFS order, busy
+  /// and drained nodes walked too. The torus is vertex-transitive and the
+  /// neighbour order commutes with translation, so that order is order_
+  /// translated by the seed's coordinates: no BFS runs per seed. Each ball
+  /// is scored as it grows, by exact int64 hop totals.
   bool scan_seeds(int count, int stride);
-
-  /// Fills ball_ with the first `count` free nodes in BFS order from
-  /// `seed`. The BFS walks busy nodes too, so any free seed's ball fills
-  /// while count <= free_nodes().
-  void grow_ball(int seed, int count);
 
   /// Sum of hops over all unordered pairs of `nodes`, exact.
   std::int64_t total_pairwise_hops(const std::vector<int>& nodes) const;
@@ -113,6 +118,12 @@ class Allocator {
 
   /// A fresh mark for seen_, so a BFS starts without clearing it.
   std::uint32_t next_stamp() const;
+
+  /// BFS from `start` through the nodes `admit` accepts, in neighbour
+  /// order, marking seen_ with `stamp`. Leaves the visit order in queue_
+  /// and returns its length.
+  template <typename Admit>
+  int bfs(int start, std::uint32_t stamp, Admit admit) const;
 
   /// A node is allocatable iff neither busy nor drained.
   bool unavailable(int node) const {
@@ -129,19 +140,37 @@ class Allocator {
   /// Node-major neighbours, 2 per dimension in (-1, +1) order — the
   /// order the BFS visits them in.
   std::vector<int> neighbours_;
+  /// The BFS visit order from node 0 as coordinate offsets,
+  /// position-major: order_[i * num_dims_ + d]. Seed s visits
+  /// c(s) + order_[i] (mod dims) at position i.
+  std::vector<int> order_;
+  /// Prefix sums of the dims: dimension d owns near_[dim_at_[d] + x] for
+  /// x < L_d, and shift_/wrap_[2 * dim_at_[d] + j] for j < 2 * L_d.
+  std::vector<int> dim_at_;
+  std::vector<int> shift_;  ///< (j mod L_d) * stride_d: a node-id term
+  std::vector<int> wrap_;   ///< wrap distance of j mod L_d along d
+  /// Per near_ slot (dimension d, coordinate x): d, and the wrap_ index
+  /// that an offset o along d is subtracted from to get wrap(x - o).
+  std::vector<int> slot_dim_;
+  std::vector<int> slot_wrap_;
   std::vector<std::uint8_t> state_;  ///< per node: 0 (free), kBusy or kDrained
   int free_count_;
   int drained_count_ = 0;
+  std::uint64_t positions_walked_ = 0;
   std::map<std::uint64_t, std::vector<int>> owned_;
 
-  // Scratch reused by every BFS and score, so placement allocates nothing
-  // per seed. Const queries use it too, hence mutable: an Allocator is
-  // not shared between threads.
+  // Scratch reused by every BFS, walk and score, so placement allocates
+  // nothing per seed. Const queries use it too, hence mutable: an
+  // Allocator is not shared between threads.
   mutable std::vector<std::uint32_t> seen_;  ///< BFS mark per node
   mutable std::uint32_t stamp_ = 0;
   mutable std::vector<int> queue_;  ///< flat BFS queue, n slots
   mutable std::vector<std::int64_t> counts_;  ///< nodes per coordinate value
   mutable std::vector<int> touched_;  ///< coordinate values counted
+  /// Per dimension: the hops along d from each offset coordinate to the
+  /// ball grown so far.
+  std::vector<std::int64_t> near_;
+  std::vector<int> row_;  ///< per dimension: 2 * dim_at_[d] + c_d of the seed
   std::vector<int> ball_;
   std::vector<int> best_;
 };

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <vector>
 
 #include "arch/configs.h"
@@ -187,10 +188,10 @@ TEST(Allocator, FragmentationOnTorus) {
 //
 // The placement as first written: a fresh BFS (seen vector, deque,
 // coordinates()/node_at() neighbours) per seed and a pairwise hops() loop
-// per ball. Allocator's table-driven BFS and histogram score must pick the
-// same nodes and report the same mean, bit for bit. Seeds follow the same
-// stride sample, with the same every-seed retry when no sampled seed is
-// free.
+// per ball. Allocator's translated visit order and pruned incremental score
+// must pick the same nodes and report the same mean, bit for bit. Seeds
+// follow the same stride sample, with the same every-seed retry when no
+// sampled seed is free.
 
 double reference_mean_hops(const net::TorusTopology& torus,
                            const std::vector<int>& nodes) {
@@ -303,11 +304,14 @@ TEST_P(ContiguousOracle, MatchesReferenceOnRandomMasks) {
   const net::TorusTopology torus(GetParam());
   const int n = torus.num_nodes();
   const int stride = n > 512 ? n / 256 : 1;
-  for (std::uint64_t trial = 1; trial <= 6; ++trial) {
+  // Busy share 0, 0.2, ..., 1.0 by trial, then near-full machines, where
+  // walks run long and pruning fires most; plus a few drained nodes.
+  const double busy_shares[] = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 0.9, 0.95};
+  for (std::uint64_t trial = 1; trial <= std::size(busy_shares); ++trial) {
     Allocator alloc(torus);
     Rng rng(trial * 7919 + static_cast<std::uint64_t>(n));
-    // Busy share 0, 0.2, ..., 1.0 by trial, plus a few drained nodes.
-    const double busy_share = static_cast<double>(trial - 1) / 5.0;
+    const double busy_share = busy_shares[trial - 1];
+    const bool near_full = busy_share >= 0.9;
     std::vector<int> busy;
     for (int node = 0; node < n; ++node) {
       const double u = rng.uniform();
@@ -320,7 +324,9 @@ TEST_P(ContiguousOracle, MatchesReferenceOnRandomMasks) {
     alloc.occupy(busy);
     // A run of placements, each on the state the previous one left.
     for (int step = 0; step < 8 && alloc.free_nodes() > 0; ++step) {
-      const int max_count = std::min(alloc.free_nodes(), 48);
+      // Near full, a job may take every free node.
+      const int max_count = near_full ? alloc.free_nodes()
+                                      : std::min(alloc.free_nodes(), 48);
       const int count =
           step == 0 ? 1
                     : static_cast<int>(rng.uniform_int(1, max_count));
@@ -369,6 +375,34 @@ TEST(Allocator, SmallBallsMatchReferenceOnSmallTori) {
           << "trial " << trial << " count " << count;
     }
   }
+}
+
+TEST(Allocator, EqualTotalsGoToLowestSeed) {
+  // Ring of 8 with free nodes 0, 2, 4 and 6. From 0 the visit order is
+  // 0 7 1 6 2 ..., so seed 0's ball is {0, 6}; seed 2's is {2, 0}, a
+  // different ball with the same 2 hops. Seeds 4 and 6 tie too. The
+  // lowest seed keeps the placement.
+  const net::TorusTopology ring({8});
+  Allocator alloc(ring);
+  alloc.occupy({1, 3, 5, 7});
+  EXPECT_EQ(alloc.mean_pairwise_hops({0, 6}), 2.0);
+  EXPECT_EQ(alloc.mean_pairwise_hops({0, 2}), 2.0);
+  EXPECT_EQ(alloc.allocate(2, Policy::kContiguous), (std::vector<int>{0, 6}));
+}
+
+TEST(Allocator, FloorStopEndsTheScan) {
+  // On an empty machine seed 0's ball reaches the floor (every pair one
+  // hop apart) at once, so no later seed is walked: one position for one
+  // node, two for an adjacent pair.
+  auto torus = cte_torus();
+  Allocator alloc(torus);
+  EXPECT_EQ(alloc.allocate(1, Policy::kContiguous), (std::vector<int>{0}));
+  EXPECT_EQ(alloc.positions_walked(), 1u);
+  alloc.release(std::vector<int>{0});
+  // From node 0 the walk reads 0, then its -1 neighbour along X.
+  EXPECT_EQ(alloc.allocate(2, Policy::kContiguous),
+            (std::vector<int>{0, 144}));
+  EXPECT_EQ(alloc.positions_walked(), 3u);
 }
 
 TEST(Allocator, MeanPairwiseHopsMatchesPairwiseSum) {

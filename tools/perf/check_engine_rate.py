@@ -18,8 +18,8 @@ Compares a fresh bench/engine_rate summary against the committed baseline
      one. This holds the per-event power bookkeeping at O(1).
   3. coverage: the fresh summary must contain every hot-path microbench
      (REQUIRED_RUNS below). A bench binary that silently dropped the queue,
-     dispatch, placement, mailbox or collective benchmarks would otherwise
-     pass the gate trivially.
+     dispatch, placement, backfill, mailbox or collective benchmarks would
+     otherwise pass the gate trivially.
   4. dispatch speedup: BM_ScheduleDispatch (4-ary queue + InlineFunction
      engine) must stay at least ``--min-dispatch-speedup`` (default 1.8)
      times faster than BM_ScheduleDispatchLegacy (the in-tree pre-refactor
@@ -60,6 +60,8 @@ REQUIRED_RUNS = (
     "BM_AllocateContiguous/192",
     "BM_AllocateContiguous/1536",
     "BM_AllocateContiguous/12288",
+    "BM_AllocateContiguousNearFull/192",
+    "BM_BackfillScan/256",
     "BM_MailboxPingPong/384",
     "BM_MailboxPingPongComputed/384",
     "BM_MailboxPingPong/9216",
