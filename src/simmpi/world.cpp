@@ -1,6 +1,7 @@
 #include "simmpi/world.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -188,7 +189,8 @@ sim::Task<> send_rounds(Rank& rank, const Group& group, int tag,
 /// Every rank of a scheduled collective parks in `enter` with no event and
 /// no message. The last one in evaluates the rounds as a max-plus
 /// recurrence over (time, span) from each rank's clock, moves each rank's
-/// clock to its exit time and schedules one wake per rank there. That is
+/// clock to its exit time and queues one wake per rank on the run queue
+/// (only a World without congestion schedules collectives). That is
 /// exact because, without congestion, a message's timing depends only on
 /// (src, dst, bytes, send time) and every rank's exit depends on every
 /// rank's entry (docs/ENGINE.md section 9).
@@ -299,15 +301,14 @@ void World::Collectives::evaluate(World& world, const Group& group,
     time.swap(next);
   }
   // Every exit is at or after the latest entry, which is at or after the
-  // engine's now: each rank's exit depends on every rank's entry. Ties
-  // resume in vrank order.
+  // engine's now: each rank's exit depends on every rank's entry. The
+  // clocks carry the exits, so the ranks resume in vrank order.
   for (std::size_t v = 0; v < n; ++v) {
     world.ranks_[static_cast<std::size_t>(group.global(static_cast<int>(v)))]
         ->clock_ = time[v];
-    const std::coroutine_handle<> h = call.parked[v];
-    auto resume = [h] { h.resume(); };
-    world.engine_.schedule_at(time[v], std::move(resume));
+    world.run_queue_.push_back({nullptr, call.parked[v]});
   }
+  world.counts_.wakes += n;
 }
 
 Group::Group(std::vector<int> members, int context)
@@ -349,7 +350,6 @@ World::World(WorldOptions options, Placement placement)
     owned_recorder_ = std::make_unique<trace::Recorder>(true);
     recorder_ = owned_recorder_.get();
   }
-  if (recorder_) engine_.set_recorder(recorder_);
   if (options_.congestion) {
     congestion_.reset(new net::CongestionModel(network_));
     if (recorder_) congestion_->set_recorder(recorder_);
@@ -441,10 +441,23 @@ double World::run(const RankFn& body) {
     delivery_memo_.assign(kDeliveryMemoSlots, DeliveryMemo{});
   }
   const std::uint64_t network_revision = network_.revision();
+  if (!congestion_) {
+    // A parked rank has one entry at most, so neither buffer grows.
+    run_queue_.reserve(ranks_.size());
+    draining_.reserve(ranks_.size());
+  }
   for (auto& rank : ranks_) {
     engine_.spawn(run_rank(body, rank.get()));
   }
+  // The engine runs the spawns (and every event of a congested World),
+  // then the run queue resumes the ranks parked meanwhile. A rank resumed
+  // there schedules an engine event only if its body does so itself.
+  // Engine::run rethrows a rank's failure, wherever the rank ran.
   engine_.run();
+  while (!run_queue_.empty()) {
+    drain_run_queue();
+    engine_.run();
+  }
   if (memoizing() && network_.revision() != network_revision) {
     throw ContractError(
         "ctesim::mpi::World: the network model changed during run() and "
@@ -460,6 +473,52 @@ double World::run(const RankFn& body) {
   sim::Time end = engine_.now();
   for (const auto& rank : ranks_) end = std::max(end, rank->clock_);
   return sim::to_seconds(end);
+}
+
+void World::drain_run_queue() {
+  // FIFO by generations: what one batch of resumptions queues runs after
+  // the whole batch, in the order it was queued.
+  while (!run_queue_.empty()) {
+    draining_.swap(run_queue_);
+    for (const Resume& next : draining_) {
+      if (next.handoff != nullptr) {
+        next.handoff->on_handoff();
+      } else {
+        next.wake.resume();
+      }
+    }
+    draining_.clear();
+  }
+}
+
+double World::kernel_seconds(const roofline::KernelSig& sig, double elems,
+                             int cores) {
+  // Every field ExecModel::analyze_shared reads; a new one must join the
+  // key.
+  static_assert(sizeof(roofline::KernelSig) == 56);
+  const std::array<std::uint64_t, 6> key{
+      std::bit_cast<std::uint64_t>(sig.flops_per_elem),
+      std::bit_cast<std::uint64_t>(sig.bytes_per_elem),
+      std::bit_cast<std::uint64_t>(sig.vec_potential),
+      std::bit_cast<std::uint64_t>(sig.overlap),
+      std::bit_cast<std::uint64_t>(elems),
+      static_cast<std::uint64_t>(sig.cls) << 40 |
+          static_cast<std::uint64_t>(sig.precision) << 32 |
+          static_cast<std::uint32_t>(cores)};
+  const std::size_t filled =
+      std::min<std::uint64_t>(kernel_memo_misses_, kernel_memo_.size());
+  for (std::size_t i = 0; i < filled; ++i) {
+    if (kernel_memo_[i].key == key) {
+      ++counts_.compute_memo_hits;
+      return kernel_memo_[i].seconds;
+    }
+  }
+  KernelMemo& slot =
+      kernel_memo_[kernel_memo_misses_++ % kernel_memo_.size()];
+  slot.key = key;
+  slot.seconds =
+      exec_.analyze_shared(sig, elems, cores, rank_bw_share_).total_s;
+  return slot.seconds;
 }
 
 World::Delivery World::delivery(int src, int dst, std::uint64_t bytes,
@@ -520,15 +579,24 @@ void Rank::deposit(World::Mailbox& box, int dst, std::uint64_t bytes,
                    const World::Delivery& d) {
   const Message message{bytes, d.arrival};
   if (P2P* p2p = std::exchange(box.receiver, nullptr)) {
-    // Hand the message to the parked receive: one event, at the end of
-    // its recv span.
+    // Hand the message to the parked receive. Its recv span ends at
+    // max(cursor, arrival) whenever the hand-off runs, so a World without
+    // congestion queues it; a congested one keeps it in time order, as
+    // an event at the end of that span.
     p2p->value_ = message;
-    auto handoff = [p2p] { p2p->on_handoff(); };
-    static_assert(sim::Engine::Callback::fits_inline<decltype(handoff)>,
-                  "simmpi must never schedule a spilling closure");
-    sim::Engine& engine = world_->engine_;
-    engine.schedule_at(std::max({engine.now(), d.arrival, p2p->recv_start_}),
-                       std::move(handoff));
+    World& world = *world_;
+    if (world.congestion_) {
+      auto handoff = [p2p] { p2p->on_handoff(); };
+      static_assert(sim::Engine::Callback::fits_inline<decltype(handoff)>,
+                    "simmpi must never schedule a spilling closure");
+      sim::Engine& engine = world.engine_;
+      engine.schedule_at(
+          std::max({engine.now(), d.arrival, p2p->recv_start_}),
+          std::move(handoff));
+    } else {
+      world.run_queue_.push_back({p2p, {}});
+      ++world.counts_.handoffs;
+    }
   } else {
     box.put(message);
   }
@@ -651,7 +719,6 @@ void P2P::received() {
 }
 
 void P2P::on_handoff() {
-  // Fired at max(cursor, arrival): the end of this source's recv span.
   received();
   if (receive_next()) handle_.resume();
 }
@@ -771,10 +838,7 @@ sim::Task<> Rank::reduce_scatter(const Group& group,
 // -------------------------------------------------------------- compute --
 
 sim::Task<> Rank::compute(const roofline::KernelSig& sig, double elems) {
-  double seconds =
-      world_->exec_
-          .analyze_shared(sig, elems, slot().cores, world_->rank_bw_share_)
-          .total_s;
+  double seconds = world_->kernel_seconds(sig, elems, slot().cores);
   if (world_->options_.compute_jitter > 0.0) {
     auto& rng = world_->jitter_[static_cast<std::size_t>(id_)];
     seconds *= 1.0 + world_->options_.compute_jitter * std::fabs(rng.normal());

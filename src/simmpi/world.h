@@ -9,17 +9,19 @@
 //
 // Every rank keeps its own simulated clock (Rank::now), at or after the
 // engine's. Compute and a receive whose messages are already queued
-// move only that clock; the engine dispatches hand-offs to blocked
-// receives, collective wakes and spawns, so its clock may lag rank time.
-// Without congestion a rank's timing depends only on its own program and
-// on message arrival times, so results do not depend on which rank runs
-// first. A congested World keeps every running rank's clock equal to the
-// engine's (docs/ENGINE.md section 10).
+// move only that clock. Without congestion a rank's timing depends only
+// on its own program and on message arrival times, so results do not
+// depend on which rank runs first: the engine dispatches only the spawns,
+// and each hand-off to a blocked receive and each collective wake
+// resumes its rank from a World-owned FIFO run queue. A congested World
+// keeps every running rank's clock equal to the engine's and resumes
+// its ranks through the engine in time order (docs/ENGINE.md section 10).
 //
 // A World is one-shot: construct, run(), read results. The simulation is
 // deterministic for a fixed (options, placement, body).
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -129,11 +131,10 @@ class World {
   const Placement& placement() const { return placement_; }
   const arch::MachineModel& machine() const { return options_.machine; }
   net::Network& network() { return network_; }
-  /// The event engine. Its clock may lag rank time: it moves only at the
-  /// events a World still dispatches (hand-offs to blocked receives,
-  /// collective wakes, spawns), so a rank reads its time from Rank::now
-  /// and spends time through Rank's calls, never by sleeping on the
-  /// engine itself.
+  /// The event engine. Its clock may lag rank time: without congestion it
+  /// dispatches only the spawns, and a congested World's ranks sleep in
+  /// it. So a rank reads its time from Rank::now and spends time through
+  /// Rank's calls, never by sleeping on the engine itself.
   sim::Engine& engine() { return engine_; }
   const roofline::ExecModel& exec() const { return exec_; }
 
@@ -145,14 +146,18 @@ class World {
   Group create_group(std::vector<int> members);
 
   /// How often the message path resolved a mailbox or a delivery from
-  /// scratch and how often it reused one. Diagnostic counts, not knobs:
-  /// they change no simulated result.
+  /// scratch and how often it reused one, how often a rank resumed from
+  /// the run queue, and how often compute reused a model evaluation.
+  /// Diagnostic counts, not knobs: they change no simulated result.
   struct OpCounts {
     std::uint64_t mailbox_scans = 0;  ///< key-array scans for a mailbox
     std::uint64_t route_hits = 0;     ///< exchanges on a cached route
     std::uint64_t route_misses = 0;   ///< exchanges that resolved a route
     std::uint64_t delivery_evals = 0;  ///< timing formula evaluated in full
     std::uint64_t delivery_memo_hits = 0;  ///< deliveries from the table
+    std::uint64_t handoffs = 0;  ///< run-queue hand-offs to parked receives
+    std::uint64_t wakes = 0;     ///< run-queue wakes from collectives
+    std::uint64_t compute_memo_hits = 0;  ///< Rank::compute from the memo
   };
   const OpCounts& op_counts() const { return counts_; }
 
@@ -198,6 +203,20 @@ class World {
   bool must_sleep_until(sim::Time t) const {
     return congestion_ != nullptr && t > engine_.now();
   }
+  /// A parked rank to resume from the run queue: a hand-off to its
+  /// receive, or else a collective wake. Only a World without congestion
+  /// queues them; a congested one schedules them on the engine.
+  struct Resume {
+    P2P* handoff = nullptr;
+    std::coroutine_handle<> wake;
+  };
+  /// Resume every queued rank in FIFO order, and each one those queue in
+  /// turn, until the queue is empty.
+  void drain_run_queue();
+  /// ExecModel::analyze_shared(sig, elems, cores, rank_bw_share_).total_s,
+  /// kept in a small memo keyed on every KernelSig field the model reads.
+  double kernel_seconds(const roofline::KernelSig& sig, double elems,
+                        int cores);
   /// One destination's receive queue for one (source, tag): the messages
   /// deposited before their receive was posted, in send order, or else the
   /// one receive parked on it, never both. Only the destination receives,
@@ -293,6 +312,22 @@ class World {
   /// slot another key holds is overwritten, so memory stays bounded at any
   /// rank count (docs/ENGINE.md section 9).
   std::vector<DeliveryMemo> delivery_memo_;
+  /// The run queue: resumptions queued while the ranks in `draining_`
+  /// run, in the order they were queued. Each vector holds at most one
+  /// entry per rank, and run() reserves that much.
+  std::vector<Resume> run_queue_;
+  std::vector<Resume> draining_;
+  /// One entry of the compute memo: the model's inputs, bit for bit (the
+  /// kernel class, precision and core count share the last word), and its
+  /// time.
+  struct KernelMemo {
+    std::array<std::uint64_t, 6> key{};
+    double seconds = 0.0;
+  };
+  /// A few entries, replaced round robin: a proxy alternates between a
+  /// handful of (kernel, elements) pairs, the same on most ranks.
+  std::array<KernelMemo, 4> kernel_memo_;
+  std::uint64_t kernel_memo_misses_ = 0;
   OpCounts counts_;
   std::vector<Rng> jitter_;
   std::unique_ptr<Group> world_group_;
@@ -321,12 +356,15 @@ class World {
 /// recv span is [cursor, max(cursor, arrival)], and the cursor then moves
 /// to its end. A message already queued is consumed at once, with no
 /// event. A source whose message has not been deposited yet parks the
-/// awaiter on its mailbox, and the deposit's hand-off fires at
-/// max(cursor, arrival), the end of that span. The call then moves the
-/// rank's clock to its end without an event (a congested World sleeps
-/// there instead). So a call costs one engine event per source it had to
-/// wait for, and every span, simulated time and per-rank record order is
-/// what a receive that slept until each arrival would produce.
+/// awaiter on its mailbox, and the deposit hands the message over: it
+/// queues the awaiter on the World's run queue, or, in a congested World,
+/// schedules an engine event at max(cursor, arrival), the end of that
+/// span. The span's end does not depend on when the hand-off runs, and
+/// the call then moves the rank's clock to its end without an event (a
+/// congested World sleeps there instead). So a call costs one run-queue
+/// resumption per source it had to wait for (one engine event when
+/// congested), and every span, simulated time and per-rank record order
+/// is what a receive that slept until each arrival would produce.
 ///
 /// A small state machine instead of nested sim::Tasks, so a call costs no
 /// coroutine frame. Every peer rank is validated before the first
@@ -343,6 +381,7 @@ class [[nodiscard]] P2P {
 
  private:
   friend class Rank;
+  friend class World;
   P2P(Rank& rank, std::uint64_t bytes, int tag)
       : rank_(&rank), bytes_(bytes), tag_(tag) {}
   P2P& to(int dst) {
@@ -362,14 +401,16 @@ class [[nodiscard]] P2P {
   }
 
   // The states after await_ready (the start). Each returns true when the
-  // call has finished, false once an engine event will re-enter it.
+  // call has finished, false once a hand-off (or a congested World's
+  // wake) will re-enter it.
   bool receive_next();
   bool finish();
   /// Records the recv span of the message in `value_` and advances the
   /// cursor past it.
   void received();
-  /// Engine-event entry: a hand-off at the end of its recv span, then the
-  /// rest of the call; resumes the caller if that has finished.
+  /// Hand-off entry, from the run queue (or a congested World's engine
+  /// event at the end of its recv span): the span, then the rest of the
+  /// call; resumes the caller if that has finished.
   void on_handoff();
 
   Rank* rank_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "roofline/kernel_library.h"
 #include "simmpi/world.h"
 #include "util/assert.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace ctesim::mpi {
@@ -253,6 +256,57 @@ TEST(World, DeadlockIsReported) {
                  co_await r.recv(1 - r.id());  // both wait, nobody sends
                }),
                std::runtime_error);
+}
+
+TEST(World, FailureOfARankResumedByAHandOffIsRethrown) {
+  // Rank 0 parks on its receive during the spawns, and the hand-off from
+  // the run queue resumes it: its bad send throws there, after the
+  // engine's last event.
+  World world(cte_options(), Placement::per_node(arch::cte_arm().node, 2));
+  EXPECT_THROW(world.run([](Rank& r) -> sim::Task<> {
+                 if (r.id() == 0) {
+                   co_await r.recv(1);
+                   co_await r.send(99, 8);
+                 } else {
+                   co_await r.send(0, 8);
+                 }
+               }),
+               ContractError);
+  EXPECT_EQ(world.op_counts().handoffs, 1u);
+  EXPECT_EQ(world.engine().events_processed(), 2u);
+}
+
+TEST(World, FailureOfARankWokenByACollectiveIsRethrown) {
+  World world(cte_options(), Placement::per_node(arch::cte_arm().node, 3));
+  EXPECT_THROW(world.run([](Rank& r) -> sim::Task<> {
+                 co_await r.barrier();
+                 if (r.id() == 1) co_await r.recv(-1);
+               }),
+               ContractError);
+  EXPECT_EQ(world.op_counts().wakes, 3u);
+  EXPECT_EQ(world.engine().events_processed(), 3u);
+}
+
+TEST(World, ReceiveLeftParkedAfterTheRunQueueDrainsIsADeadlock) {
+  // Rank 0's first receive is handed its message from the run queue; its
+  // second has no matching send, so it parks again and the queue drains.
+  World world(cte_options(), Placement::per_node(arch::cte_arm().node, 2));
+  try {
+    world.run([](Rank& r) -> sim::Task<> {
+      if (r.id() == 0) {
+        co_await r.recv(1);
+        co_await r.recv(1);
+      } else {
+        co_await r.send(0, 8);
+      }
+    });
+    FAIL() << "a receive with no matching send must deadlock";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("simulation deadlocked (1 ranks"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(world.op_counts().handoffs, 1u);
 }
 
 // --- collectives --------------------------------------------------------

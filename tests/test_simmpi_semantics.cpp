@@ -259,6 +259,7 @@ struct HubOutcome {
   std::vector<trace::Span> recvs;
   sim::Time hub_done = -1;
   std::uint64_t events = 0;
+  std::uint64_t handoffs = 0;
 };
 HubOutcome late_deposit_early_arrival(int hub, int first, int second) {
   World world(traced_options(),
@@ -281,6 +282,7 @@ HubOutcome late_deposit_early_arrival(int hub, int first, int second) {
     if (s.name == "recv") out.recvs.push_back(s);
   }
   out.events = world.engine().events_processed();
+  out.handoffs = world.op_counts().handoffs;
   return out;
 }
 
@@ -297,10 +299,12 @@ TEST(P2P, LaterDepositedEarlierArrivalStartsAtThePreviousSpanEnd) {
   EXPECT_EQ(out.recvs[1].start, out.recvs[0].end);
   EXPECT_EQ(out.recvs[1].end, out.recvs[0].end);
   EXPECT_EQ(out.hub_done, out.recvs[0].end);
-  // 3 spawns and the hub's 1 hand-off, which also resumes it. Rank 1 finds
-  // the hub's message queued and moves its own clock to its rendezvous
-  // send's end; rank 2's compute and its call move only its clock.
-  EXPECT_EQ(out.events, 4u);
+  // 3 spawns, the only engine events, and the hub's 1 hand-off from the
+  // run queue, which also resumes it. Rank 1 finds the hub's message
+  // queued and moves its own clock to its rendezvous send's end; rank 2's
+  // compute and its call move only its clock.
+  EXPECT_EQ(out.events, 3u);
+  EXPECT_EQ(out.handoffs, 1u);
 }
 
 TEST(P2P, SourceDepositedAfterTheCursorMovedAheadWakesAtTheCursor) {
@@ -317,11 +321,13 @@ TEST(P2P, SourceDepositedAfterTheCursorMovedAheadWakesAtTheCursor) {
   EXPECT_EQ(out.recvs[1].start, out.recvs[0].end);
   EXPECT_EQ(out.recvs[1].end, out.recvs[0].end);
   EXPECT_EQ(out.hub_done, out.recvs[0].end);
-  // 3 spawns and 2 hand-offs, the hub's messages to ranks 0 and 1, which
-  // parked on it. Rank 1's compute moves only its clock, so it deposits
-  // before the hub runs and the hub finds both messages queued; the next
-  // test makes the hub park and take its hand-off at the cursor.
-  EXPECT_EQ(out.events, 5u);
+  // 3 spawns and 2 hand-offs from the run queue, the hub's messages to
+  // ranks 0 and 1, which parked on it. Rank 1's compute moves only its
+  // clock, so it deposits before the hub runs and the hub finds both
+  // messages queued; the next test makes the hub park and take its
+  // hand-off at the cursor.
+  EXPECT_EQ(out.events, 3u);
+  EXPECT_EQ(out.handoffs, 2u);
 }
 
 TEST(P2P, SourceBlockedUntilTheHubParkedWakesItAtTheCursor) {
@@ -362,9 +368,11 @@ TEST(P2P, SourceBlockedUntilTheHubParkedWakesItAtTheCursor) {
   EXPECT_EQ(recvs[1].start, recvs[0].end);
   EXPECT_EQ(recvs[1].end, recvs[0].end);
   EXPECT_EQ(hub_done, recvs[0].end);
-  // 3 spawns; the hand-offs to rank 1 (tag 5) and to rank 0 (the hub's
-  // 64 bytes); rank 1's to the hub at the cursor, which resumes it.
-  EXPECT_EQ(world.engine().events_processed(), 6u);
+  // 3 spawns, the only engine events. From the run queue: the hand-offs
+  // to rank 1 (tag 5) and to rank 0 (the hub's 64 bytes), then the one
+  // rank 1 queues for the hub, which resumes it at the cursor.
+  EXPECT_EQ(world.engine().events_processed(), 3u);
+  EXPECT_EQ(world.op_counts().handoffs, 3u);
 }
 
 TEST(P2P, RendezvousSendrecvSettlesAfterItsRecv) {
@@ -400,32 +408,54 @@ TEST(P2P, BadThirdNeighbourThrowsBeforeAnyDeposit) {
   EXPECT_TRUE(world.recorder()->spans().empty());
 }
 
-TEST(P2P, RingExchangeEventCountIsPinned) {
-  // 384 ranks, 10 steps of ring exchange + allreduce(8): 384 spawns, one
-  // wake per rank per scheduled allreduce (3840), which sends no message,
-  // and one hand-off per blocked exchange receive (3713), at the time its
-  // rank can continue. In step 0 ranks start in id order, and every rank
-  // but the last parks once, on a neighbour spawned after it (383). In
-  // each later step a receive parks when its neighbour, which deposits as
-  // soon as it leaves the allreduce, has not had its wake dispatched yet:
-  // 3330 over steps 1 to 9 (369 to 371 a step, as the network jitter
-  // orders the exit times). A receive
-  // whose message is queued, and the end of a call, move only the rank's
-  // clock. The pin catches any extra wake-up (docs/ENGINE.md sections 7,
-  // 9 and 10 have the history: 44 998, 29 853, then 8070).
-  WorldOptions options;
-  options.machine = arch::cte_arm();
-  World world(std::move(options),
-              Placement::per_core(arch::cte_arm().node, 384));
-  world.run([](Rank& rank) -> sim::Task<> {
+/// 384 ranks, 10 steps of ring exchange + allreduce(8).
+World::RankFn ring_steps() {
+  return [](Rank& rank) -> sim::Task<> {
     const int n = rank.size();
     const std::vector<int> ring{(rank.id() + n - 1) % n, (rank.id() + 1) % n};
     for (int step = 0; step < 10; ++step) {
       co_await rank.exchange(ring, 4096, /*tag=*/1);
       co_await rank.allreduce(8);
     }
-  });
-  EXPECT_EQ(world.engine().events_processed(), 7937u);
+  };
+}
+
+TEST(P2P, RingExchangeEventCountIsPinned) {
+  // The engine dispatches the 384 spawns and nothing else. The run queue
+  // resumes one wake per rank per scheduled allreduce (3840), which sends
+  // no message, and one hand-off per blocked exchange receive (3830). In
+  // each step the ranks start the exchange in id order (spawns, then the
+  // wakes in vrank order), so every rank but the last parks once, on a
+  // neighbour that has not deposited yet: rank 0 on rank 383, each other
+  // on the one after it; 383 a step. A receive whose message is queued,
+  // and the end of a call, move only the rank's clock. The pin catches
+  // any extra wake-up (docs/ENGINE.md sections 7, 9 and 10 have the
+  // history: 44 998, 29 853, 8070, 7937, then the spawns alone).
+  WorldOptions options;
+  options.machine = arch::cte_arm();
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, 384));
+  world.run(ring_steps());
+  EXPECT_EQ(world.engine().events_processed(), 384u);
+  EXPECT_EQ(world.op_counts().wakes, 3840u);
+  EXPECT_EQ(world.op_counts().handoffs, 3830u);
+}
+
+TEST(P2P, CongestedRingExchangeRunsThroughTheEngine) {
+  // The run above with congestion on: the collectives are messages, and
+  // every hand-off and every sleep of a rank whose clock moved ahead is an
+  // engine event in time order, so CongestionModel books links in
+  // simulated-time order. Nothing goes through the run queue, and the
+  // count is the one the engine dispatched before the run queue existed.
+  WorldOptions options;
+  options.machine = arch::cte_arm();
+  options.congestion = true;
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, 384));
+  world.run(ring_steps());
+  EXPECT_EQ(world.engine().events_processed(), 29846u);
+  EXPECT_EQ(world.op_counts().wakes, 0u);
+  EXPECT_EQ(world.op_counts().handoffs, 0u);
 }
 
 TEST(P2P, RingExchangeOpCountsArePinned) {
@@ -481,6 +511,49 @@ TEST(Clock, ComputeOnlyWorldDispatchesOnlyItsSpawns) {
   EXPECT_EQ(sim::from_seconds(makespan), 812'795'069);
   EXPECT_EQ(sim::from_seconds(makespan),
             *std::max_element(ends.begin(), ends.end()));
+}
+
+TEST(Clock, ComputeMemoGivesTheModelsDoubles) {
+  // Two kernels of one name that differ only in their overlap, alternated
+  // on three ranks with different element counts: six keys for the
+  // memo's four entries, so the third rank evicts the first's. A third
+  // kernel, the first renamed, shares its key. Every compute span lasts
+  // exactly the model's time for its own kernel.
+  const arch::NodeModel node = arch::cte_arm().node;
+  roofline::KernelSig overlapped = roofline::kernels::stencil3d();
+  overlapped.overlap = 1.0;
+  roofline::KernelSig serialized = overlapped;
+  serialized.overlap = 0.0;
+  roofline::KernelSig renamed = overlapped;
+  renamed.name = "renamed";
+  World world(traced_options(), Placement::per_node(node, 3));
+  world.run([&](Rank& r) -> sim::Task<> {
+    const double elems = 1e5 * (1 + r.id());
+    for (int i = 0; i < 4; ++i) {
+      co_await r.compute(overlapped, elems);
+      co_await r.compute(serialized, elems);
+    }
+    co_await r.compute(renamed, elems);
+  });
+  // One rank per node, owning all its cores: the bandwidth share is
+  // what ExecModel::analyze gives them.
+  const auto model = [&](const roofline::KernelSig& sig, double elems) {
+    return sim::from_seconds(
+        world.exec().analyze(sig, elems, node.core_count()).total_s);
+  };
+  std::vector<int> calls(3, 0);
+  for (const trace::Span& s : world.recorder()->spans()) {
+    if (s.name != "compute") continue;
+    const int i = calls[static_cast<std::size_t>(s.track.index)]++;
+    const roofline::KernelSig& sig =
+        i == 8 ? renamed : (i % 2 == 0 ? overlapped : serialized);
+    EXPECT_EQ(s.detail, sig.name);
+    EXPECT_EQ(s.end - s.start, model(sig, 1e5 * (1 + s.track.index)))
+        << "rank " << s.track.index << ", call " << i;
+  }
+  EXPECT_EQ(calls, std::vector<int>(3, 9));
+  EXPECT_NE(model(overlapped, 1e5), model(serialized, 1e5));
+  EXPECT_EQ(world.op_counts().compute_memo_hits, 21u);
 }
 
 }  // namespace

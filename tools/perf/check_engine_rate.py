@@ -33,7 +33,9 @@ Compares a fresh bench/engine_rate summary against the committed baseline
      stay at least MIN_MEMO_SPEEDUP times faster than
      BM_MailboxPingPongComputed/384, the same World with a factor-1.0
      receive window that turns the memo off. A memo that never hits lands
-     near 1.0.
+     near 1.0. Both rows must be medians of at least MIN_MEMO_REPETITIONS
+     repetitions (engine_rate pins them), so one slow repetition of either
+     cannot fail the gate.
 
 Usage:
   python3 tools/perf/check_engine_rate.py \
@@ -76,6 +78,8 @@ REQUIRED_RUNS = (
 # Floor of the gate-5 ratio. The measured ratio is 1.35-2.03x, median 1.59x
 # (docs/ENGINE.md section 7); the floor sits ~20% under the median.
 MIN_MEMO_SPEEDUP = 1.25
+# Repetitions each gate-5 row must be the median of.
+MIN_MEMO_REPETITIONS = 3
 
 
 def load_summary(path):
@@ -99,6 +103,12 @@ def load_runs(path):
             raise SystemExit(f"{path}: {name} has non-positive events_per_s")
         runs[name] = rate
     return runs
+
+
+def repetitions(path):
+    """Return {benchmark name: repetitions its row is the median of}."""
+    return {run["name"]: int(run.get("repetitions", 1))
+            for run in load_summary(path)}
 
 
 def main():
@@ -161,12 +171,19 @@ def main():
 
     memo = fresh.get("BM_MailboxPingPong/384")
     computed = fresh.get("BM_MailboxPingPongComputed/384")
+    reps = repetitions(args.fresh)
+    for name in ("BM_MailboxPingPong/384", "BM_MailboxPingPongComputed/384"):
+        if name in reps and reps[name] < MIN_MEMO_REPETITIONS:
+            failures.append(
+                f"{name} is the median of {reps[name]} repetition(s); "
+                f"the memo gate needs at least {MIN_MEMO_REPETITIONS}")
     if memo is not None and computed is not None:
         speedup = memo / computed
         verdict = ("ok" if speedup >= MIN_MEMO_SPEEDUP
                    else "TOO SLOW")
         print(f"  delivery memo speedup vs computed: x{speedup:.2f} "
-              f"({memo:.0f} vs {computed:.0f} messages/s) {verdict}")
+              f"({memo:.0f} vs {computed:.0f} messages/s, medians) "
+              f"{verdict}")
         if speedup < MIN_MEMO_SPEEDUP:
             failures.append(
                 f"BM_MailboxPingPong/384 is only x{speedup:.2f} of its "
