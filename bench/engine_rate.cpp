@@ -9,7 +9,8 @@
 //     variant re-implements the pre-rebuild loop (std::priority_queue of
 //     std::function callbacks, copy-then-pop) in-tree, so the speedup is a
 //     number measured on this machine today, not a changelog memory —
-//     tools/perf/check_engine_rate.py gates dispatch/legacy >= 2x.
+//     tools/perf/check_engine_rate.py gates dispatch/legacy >= 1.8x at
+//     16 timers, on the medians of repeated runs.
 //   - Placement benchmarks (BM_TorusHops, BM_AllocateContiguous at 192,
 //     1536 and 12288 nodes, BM_AllocateContiguousNearFull) time the
 //     topology and allocator layer that dominates the cluster benchmarks,
@@ -67,6 +68,11 @@
 namespace {
 
 using namespace ctesim;
+
+/// Repetitions of every row a ratio gate of check_engine_rate.py reads
+/// (gates 4 and 5): the summary keeps each one's median, so one slow
+/// repetition cannot fail the gate.
+constexpr int kGateRepetitions = 5;
 
 // ---------------------------------------------------------------------------
 // Legacy engine loop, kept in-tree as the measured baseline. This is the
@@ -187,7 +193,9 @@ void BM_ScheduleDispatch(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-BENCHMARK(BM_ScheduleDispatch)->Arg(16)->Arg(256);
+// The /16 pair is gate 4's ratio, so it is repeated.
+BENCHMARK(BM_ScheduleDispatch)->Arg(16)->Repetitions(kGateRepetitions);
+BENCHMARK(BM_ScheduleDispatch)->Arg(256);
 
 void BM_ScheduleDispatchLegacy(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
@@ -207,7 +215,8 @@ void BM_ScheduleDispatchLegacy(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 
-BENCHMARK(BM_ScheduleDispatchLegacy)->Arg(16)->Arg(256);
+BENCHMARK(BM_ScheduleDispatchLegacy)->Arg(16)->Repetitions(kGateRepetitions);
+BENCHMARK(BM_ScheduleDispatchLegacy)->Arg(256);
 
 // ---------------------------------------------------------------------------
 // BM_SpawnResume: spawn/resume/destroy churn of short-lived coroutine
@@ -497,7 +506,6 @@ BENCHMARK(BM_BackfillScan)->Arg(256)->Unit(benchmark::kMicrosecond);
 // (docs/ENGINE.md section 8).
 // ---------------------------------------------------------------------------
 constexpr int kPingPongHaloBytes = 4096;
-constexpr int kMemoGateRepetitions = 5;
 constexpr double kPingPongMessagesPerRun = 300000.0;
 
 void mailbox_ping_pong(benchmark::State& state, bool computed) {
@@ -555,12 +563,12 @@ void BM_MailboxPingPongComputed(benchmark::State& state) {
 BENCHMARK(BM_MailboxPingPong)
     ->Arg(384)
     ->Iterations(10)
-    ->Repetitions(kMemoGateRepetitions)
+    ->Repetitions(kGateRepetitions)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MailboxPingPongComputed)
     ->Arg(384)
     ->Iterations(10)
-    ->Repetitions(kMemoGateRepetitions)
+    ->Repetitions(kGateRepetitions)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MailboxPingPong)->Arg(9216)->Iterations(3)->Unit(
     benchmark::kMillisecond);

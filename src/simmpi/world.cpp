@@ -22,6 +22,10 @@ constexpr int kMaxContexts = 4096;
 constexpr int kDeliveryMemoBits = 10;
 constexpr std::size_t kDeliveryMemoSlots = std::size_t{1} << kDeliveryMemoBits;
 
+// Resolved collective schedules: at most 2^16 (round, vrank) entries of 20
+// bytes per World, over all its (group context, op) slots.
+constexpr std::size_t kScheduleEntries = std::size_t{1} << 16;
+
 enum CollOp {
   kOpBarrier = 0,
   kOpBcast,
@@ -194,7 +198,25 @@ sim::Task<> send_rounds(Rank& rank, const Group& group, int tag,
 /// exact because, without congestion, a message's timing depends only on
 /// (src, dst, bytes, send time) and every rank's exit depends on every
 /// rank's entry (docs/ENGINE.md section 9).
+///
+/// A memoizing World also keeps each (group context, op)'s rounds
+/// resolved for the per-rank bytes of its last evaluated call: per round
+/// and vrank, the vrank it receives from and its send's delivery offsets.
+/// A later call with the same per-rank bytes replays them as one streaming
+/// pass and one gather per round (docs/ENGINE.md section 9, "Resolved
+/// schedules").
 struct World::Collectives {
+  /// One (group context, op)'s rounds, resolved for `bytes`. Entry
+  /// k * p + v is vrank v's part of round k: `src` is the vrank it
+  /// receives from (p for none), and `arrival` and `sender_done` are its
+  /// send's offsets from its send time (0 for none).
+  struct Schedule {
+    std::vector<std::uint64_t> bytes;  ///< by vrank; empty: unresolved
+    std::vector<std::int32_t> src;
+    std::vector<sim::Time> arrival;
+    std::vector<sim::Time> sender_done;
+  };
+
   /// One (group context, op)'s call in progress, indexed by vrank.
   struct Pending {
     std::vector<sim::Time> entry;
@@ -202,6 +224,7 @@ struct World::Collectives {
     std::vector<std::coroutine_handle<>> parked;
     std::optional<Rounds> rounds;  ///< the first entrant's algorithm
     int entered = 0;
+    Schedule schedule;
   };
 
   /// The awaiter a rank parks on.
@@ -224,13 +247,23 @@ struct World::Collectives {
   static_assert(std::is_trivially_destructible_v<Entry>);
 
   void enter(World& world, const Entry& entry, std::coroutine_handle<> h);
+  /// Times `call` from its entries into `time`, recording its spans.
   void evaluate(World& world, const Group& group, Pending& call);
+  /// Times `call` from its resolved schedule.
+  void replay(World& world, const Group& group, const Pending& call);
+  /// Makes `schedule` hold `entries` entries within kScheduleEntries,
+  /// dropping the other slots' schedules if they leave too little room;
+  /// false, changing nothing, if `entries` alone exceed it.
+  bool make_room(Schedule& schedule, std::size_t entries);
 
   std::vector<Pending> pending;  ///< by context * kOpsPerContext + op
+  std::size_t schedule_entries = 0;  ///< held by every slot's schedule
   // Evaluator scratch, by vrank.
   std::vector<sim::Time> time;  ///< each rank's time entering the round
   std::vector<sim::Time> next;
-  std::vector<sim::Time> arrival;  ///< of the message it sent this round
+  /// Of the message it sent this round; replay appends a 0 at index p
+  /// for the vranks that receive nothing.
+  std::vector<sim::Time> arrival;
   std::vector<std::uint64_t> sent;
   std::vector<int> src;
 };
@@ -257,7 +290,46 @@ void World::Collectives::enter(World& world, const Entry& entry,
   call.parked[v] = h;
   if (++call.entered < p) return;
   call.entered = 0;
-  evaluate(world, *entry.group, call);
+  time.assign(call.entry.begin(), call.entry.end());
+  // A slot belongs to one group, and the same per-rank bytes give every
+  // rank the same steps, so the schedule still holds; run() checks that
+  // the network model, which its offsets came from, has not changed.
+  if (world.memoizing() && call.schedule.bytes == call.bytes) {
+    ++world.counts_.schedule_replays;
+    replay(world, *entry.group, call);
+  } else {
+    evaluate(world, *entry.group, call);
+  }
+  // Every exit is at or after the latest entry, which is at or after the
+  // engine's now: each rank's exit depends on every rank's entry. The
+  // clocks carry the exits, so the ranks resume in vrank order.
+  for (std::size_t r = 0; r < time.size(); ++r) {
+    world.ranks_[static_cast<std::size_t>(entry.group->global(
+                     static_cast<int>(r)))]
+        ->clock_ = time[r];
+    world.run_queue_.push_back({nullptr, call.parked[r]});
+  }
+  world.counts_.wakes += time.size();
+}
+
+bool World::Collectives::make_room(Schedule& schedule, std::size_t entries) {
+  if (entries > kScheduleEntries) return false;
+  schedule_entries -= schedule.src.size();
+  if (schedule_entries + entries > kScheduleEntries) {
+    for (Pending& other : pending) {
+      if (&other.schedule != &schedule) other.schedule = Schedule{};
+    }
+    schedule_entries = 0;
+  }
+  schedule.bytes.clear();
+  if (schedule.src.size() != entries) {
+    // Allocated to size, so the budget bounds the memory held.
+    schedule.src = std::vector<std::int32_t>(entries);
+    schedule.arrival = std::vector<sim::Time>(entries);
+    schedule.sender_done = std::vector<sim::Time>(entries);
+  }
+  schedule_entries += entries;
+  return true;
 }
 
 void World::Collectives::evaluate(World& world, const Group& group,
@@ -271,16 +343,24 @@ void World::Collectives::evaluate(World& world, const Group& group,
   const int p = group.size();
   const auto n = static_cast<std::size_t>(p);
   const Rounds& rounds = *call.rounds;
-  time.assign(call.entry.begin(), call.entry.end());
+  Schedule& schedule = call.schedule;
+  const bool resolve =
+      world.memoizing() &&
+      make_room(schedule, static_cast<std::size_t>(rounds.count()) * n);
   next.resize(n);
   arrival.resize(n);
   sent.resize(n);
   src.resize(n);
   for (int k = 0; k < rounds.count(); ++k) {
+    const std::size_t base = static_cast<std::size_t>(k) * n;
     for (std::size_t v = 0; v < n; ++v) {
       const Step step = rounds.step(static_cast<int>(v), k, call.bytes[v]);
       src[v] = step.src;
       next[v] = time[v];
+      if (resolve) {
+        schedule.src[base + v] = step.src < 0 ? p : step.src;
+        schedule.arrival[base + v] = schedule.sender_done[base + v] = 0;
+      }
       if (step.dst < 0) continue;
       const int me = group.global(static_cast<int>(v));
       const int to = group.global(step.dst);
@@ -289,6 +369,11 @@ void World::Collectives::evaluate(World& world, const Group& group,
       arrival[v] = d.arrival;
       sent[v] = step.bytes;
       next[v] = std::max(next[v], d.sender_done);
+      if (resolve) {
+        // A memoizing World's delivery is time[v] plus these offsets.
+        schedule.arrival[base + v] = d.arrival - time[v];
+        schedule.sender_done[base + v] = d.sender_done - time[v];
+      }
     }
     for (std::size_t v = 0; v < n; ++v) {
       if (src[v] < 0) continue;
@@ -300,15 +385,57 @@ void World::Collectives::evaluate(World& world, const Group& group,
     }
     time.swap(next);
   }
-  // Every exit is at or after the latest entry, which is at or after the
-  // engine's now: each rank's exit depends on every rank's entry. The
-  // clocks carry the exits, so the ranks resume in vrank order.
-  for (std::size_t v = 0; v < n; ++v) {
-    world.ranks_[static_cast<std::size_t>(group.global(static_cast<int>(v)))]
-        ->clock_ = time[v];
-    world.run_queue_.push_back({nullptr, call.parked[v]});
+  if (resolve) {
+    schedule.bytes = call.bytes;
+    ++world.counts_.schedule_resolves;
   }
-  world.counts_.wakes += n;
+}
+
+void World::Collectives::replay(World& world, const Group& group,
+                                const Pending& call) {
+  // The recurrence of evaluate, with each send's delivery read from the
+  // schedule. A vrank that sends nothing has offsets 0, one that receives
+  // nothing reads arrival[p] = 0, and next[v] >= time[v] >= 0, so neither
+  // moves its time. Only a traced call derives peers and bytes again, to
+  // record the spans evaluate records, in its order.
+  const Schedule& schedule = call.schedule;
+  const std::size_t n = time.size();
+  const bool traced = world.recorder_ != nullptr && world.recorder_->enabled();
+  next.resize(n);
+  arrival.resize(n + 1);
+  arrival[n] = 0;
+  for (std::size_t base = 0; base < schedule.src.size(); base += n) {
+    const std::int32_t* from = schedule.src.data() + base;
+    const sim::Time* offset = schedule.arrival.data() + base;
+    const sim::Time* done = schedule.sender_done.data() + base;
+    for (std::size_t v = 0; v < n; ++v) {
+      arrival[v] = time[v] + offset[v];
+      next[v] = std::max(time[v], time[v] + done[v]);
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      next[v] = std::max(next[v], arrival[static_cast<std::size_t>(from[v])]);
+    }
+    if (traced) {
+      const int k = static_cast<int>(base / n);
+      for (std::size_t v = 0; v < n; ++v) {
+        const Step step =
+            call.rounds->step(static_cast<int>(v), k, call.bytes[v]);
+        if (step.dst < 0) continue;
+        world.record(group.global(static_cast<int>(v)), time[v],
+                     time[v] + done[v], "send", "", step.bytes,
+                     group.global(step.dst));
+      }
+      for (std::size_t v = 0; v < n; ++v) {
+        const auto u = static_cast<std::size_t>(from[v]);
+        if (u == n) continue;
+        const Step sender = call.rounds->step(from[v], k, call.bytes[u]);
+        world.record(group.global(static_cast<int>(v)), time[v],
+                     std::max(time[v], arrival[u]), "recv", "", sender.bytes,
+                     group.global(from[v]));
+      }
+    }
+    time.swap(next);
+  }
 }
 
 Group::Group(std::vector<int> members, int context)

@@ -4,7 +4,8 @@
 // recursive doubling, ring, pairwise exchange). The rooted bcast always
 // runs on point-to-point messages; allreduce, allgather, alltoall,
 // barrier and reduce_scatter do too when congestion is modelled, and are
-// otherwise evaluated as one max-plus schedule once the last rank enters
+// otherwise evaluated as one max-plus schedule once the last rank enters,
+// replayed from its resolved rounds when the call repeats
 // (docs/ENGINE.md section 9).
 //
 // Every rank keeps its own simulated clock (Rank::now), at or after the
@@ -146,8 +147,9 @@ class World {
   Group create_group(std::vector<int> members);
 
   /// How often the message path resolved a mailbox or a delivery from
-  /// scratch and how often it reused one, how often a rank resumed from
-  /// the run queue, and how often compute reused a model evaluation.
+  /// scratch and how often it reused one, how often a collective resolved
+  /// its schedule and how often it replayed one, how often a rank resumed
+  /// from the run queue, and how often compute reused a model evaluation.
   /// Diagnostic counts, not knobs: they change no simulated result.
   struct OpCounts {
     std::uint64_t mailbox_scans = 0;  ///< key-array scans for a mailbox
@@ -158,6 +160,8 @@ class World {
     std::uint64_t handoffs = 0;  ///< run-queue hand-offs to parked receives
     std::uint64_t wakes = 0;     ///< run-queue wakes from collectives
     std::uint64_t compute_memo_hits = 0;  ///< Rank::compute from the memo
+    std::uint64_t schedule_resolves = 0;  ///< collectives that kept rounds
+    std::uint64_t schedule_replays = 0;   ///< collectives replayed from them
   };
   const OpCounts& op_counts() const { return counts_; }
 
@@ -332,8 +336,9 @@ class World {
   std::vector<Rng> jitter_;
   std::unique_ptr<Group> world_group_;
   std::unique_ptr<net::CongestionModel> congestion_;
-  /// Scheduled collectives: per (group, op) entry state and the evaluator's
-  /// scratch, reused across calls (defined in world.cpp).
+  /// Scheduled collectives: per (group, op) entry state and resolved
+  /// schedule, and the evaluator's scratch, reused across calls (defined
+  /// in world.cpp).
   struct Collectives;
   std::unique_ptr<Collectives> collectives_;
   int next_group_context_ = 1;

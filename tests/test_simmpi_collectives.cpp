@@ -393,7 +393,8 @@ TEST(CollectiveOracle, ARankThatNeverEntersIsADeadlock) {
 TEST(Collective, OneWakePerRankPerCall) {
   // 384 spawns, the only engine events; then each allreduce parks every
   // rank without an event and wakes each once from the run queue, its
-  // clock already at its exit time.
+  // clock already at its exit time. The first call resolves the schedule
+  // and the other four replay it.
   constexpr int kRanks = 384;
   constexpr int kCalls = 5;
   World world(cte_options(),
@@ -406,6 +407,9 @@ TEST(Collective, OneWakePerRankPerCall) {
   EXPECT_EQ(world.op_counts().wakes,
             static_cast<std::uint64_t>(kRanks * kCalls));
   EXPECT_EQ(world.op_counts().handoffs, 0u);
+  EXPECT_EQ(world.op_counts().schedule_resolves, 1u);
+  EXPECT_EQ(world.op_counts().schedule_replays,
+            static_cast<std::uint64_t>(kCalls - 1));
 }
 
 }  // namespace

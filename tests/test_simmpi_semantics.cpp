@@ -463,10 +463,11 @@ TEST(P2P, RingExchangeOpCountsArePinned) {
   // neighbours, an outgoing and an incoming mailbox each, so the key scans
   // are ranks x neighbours x 2 (1536), however many steps run. The other
   // 9 steps reuse the route (3456 hits) with its delivery offsets. The
-  // deliveries left, 768 route resolutions and the allreduce schedules'
-  // 10 x 2304 messages, go through the delivery table. On 8 nodes at two
-  // sizes it evaluates the formula 76 times: once per (node pair, bytes)
-  // key, again after a slot collision.
+  // first allreduce resolves its schedule and the other 9 replay it, so
+  // the deliveries left, 768 route resolutions and that one schedule's
+  // 2304 messages, go through the delivery table. On 8 nodes at two sizes
+  // it evaluates the formula 76 times: once per (node pair, bytes) key,
+  // again after a slot collision.
   WorldOptions options;
   options.machine = arch::cte_arm();
   World world(std::move(options),
@@ -483,8 +484,10 @@ TEST(P2P, RingExchangeOpCountsArePinned) {
   EXPECT_EQ(c.mailbox_scans, 1536u);
   EXPECT_EQ(c.route_misses, 384u);
   EXPECT_EQ(c.route_hits, 3456u);
-  EXPECT_EQ(c.delivery_evals + c.delivery_memo_hits, 768u + 23040u);
+  EXPECT_EQ(c.delivery_evals + c.delivery_memo_hits, 768u + 2304u);
   EXPECT_EQ(c.delivery_evals, 76u);
+  EXPECT_EQ(c.schedule_resolves, 1u);
+  EXPECT_EQ(c.schedule_replays, 9u);
 }
 
 TEST(Clock, ComputeOnlyWorldDispatchesOnlyItsSpawns) {

@@ -29,11 +29,13 @@ Compares a fresh bench/engine_rate summary against the committed baseline
      the floor sits ~20% under that for the same noise headroom the
      cross-commit gate gets, and anything that reintroduces a per-event
      allocation or copy lands the ratio near 1.0 — far below either bar.
+     Both rows must be medians of at least MIN_GATE_REPETITIONS
+     repetitions (engine_rate pins them), as for gate 5.
   5. delivery memo: BM_MailboxPingPong/384 (delivery offsets reused) must
      stay at least MIN_MEMO_SPEEDUP times faster than
      BM_MailboxPingPongComputed/384, the same World with a factor-1.0
      receive window that turns the memo off. A memo that never hits lands
-     near 1.0. Both rows must be medians of at least MIN_MEMO_REPETITIONS
+     near 1.0. Both rows must be medians of at least MIN_GATE_REPETITIONS
      repetitions (engine_rate pins them), so one slow repetition of either
      cannot fail the gate.
 
@@ -78,8 +80,8 @@ REQUIRED_RUNS = (
 # Floor of the gate-5 ratio. The measured ratio is 1.35-2.03x, median 1.59x
 # (docs/ENGINE.md section 7); the floor sits ~20% under the median.
 MIN_MEMO_SPEEDUP = 1.25
-# Repetitions each gate-5 row must be the median of.
-MIN_MEMO_REPETITIONS = 3
+# Repetitions each row of a ratio gate (4 and 5) must be the median of.
+MIN_GATE_REPETITIONS = 3
 
 
 def load_summary(path):
@@ -109,6 +111,15 @@ def repetitions(path):
     """Return {benchmark name: repetitions its row is the median of}."""
     return {run["name"]: int(run.get("repetitions", 1))
             for run in load_summary(path)}
+
+
+def check_medians(reps, names, gate, failures):
+    """Fail `gate` for each of `names` that is a median of too few runs."""
+    for name in names:
+        if name in reps and reps[name] < MIN_GATE_REPETITIONS:
+            failures.append(
+                f"{name} is the median of {reps[name]} repetition(s); "
+                f"the {gate} gate needs at least {MIN_GATE_REPETITIONS}")
 
 
 def main():
@@ -155,6 +166,9 @@ def main():
         failures.append("fresh summary is missing required runs: " +
                         ", ".join(missing))
 
+    reps = repetitions(args.fresh)
+    check_medians(reps, ("BM_ScheduleDispatch/16",
+                         "BM_ScheduleDispatchLegacy/16"), "dispatch", failures)
     new = fresh.get("BM_ScheduleDispatch/16")
     legacy = fresh.get("BM_ScheduleDispatchLegacy/16")
     if new is not None and legacy is not None:
@@ -162,7 +176,7 @@ def main():
         verdict = ("ok" if speedup >= args.min_dispatch_speedup
                    else "TOO SLOW")
         print(f"  dispatch speedup vs legacy engine: x{speedup:.2f} "
-              f"({new:.0f} vs {legacy:.0f} events/s) {verdict}")
+              f"({new:.0f} vs {legacy:.0f} events/s, medians) {verdict}")
         if speedup < args.min_dispatch_speedup:
             failures.append(
                 f"BM_ScheduleDispatch/16 is only x{speedup:.2f} of the "
@@ -171,12 +185,8 @@ def main():
 
     memo = fresh.get("BM_MailboxPingPong/384")
     computed = fresh.get("BM_MailboxPingPongComputed/384")
-    reps = repetitions(args.fresh)
-    for name in ("BM_MailboxPingPong/384", "BM_MailboxPingPongComputed/384"):
-        if name in reps and reps[name] < MIN_MEMO_REPETITIONS:
-            failures.append(
-                f"{name} is the median of {reps[name]} repetition(s); "
-                f"the memo gate needs at least {MIN_MEMO_REPETITIONS}")
+    check_medians(reps, ("BM_MailboxPingPong/384",
+                         "BM_MailboxPingPongComputed/384"), "memo", failures)
     if memo is not None and computed is not None:
         speedup = memo / computed
         verdict = ("ok" if speedup >= MIN_MEMO_SPEEDUP
