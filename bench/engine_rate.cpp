@@ -24,6 +24,8 @@
 //   - BM_Collective times the scheduled collectives alone: allreduce(8) at
 //     384 and 9216 ranks and OpenIFS's alltoall over 192 one-per-node
 //     actors, in the messages/sec their algorithms stand for.
+//   - BM_RankCompute/384 times Rank::compute and compute_seconds alone,
+//     in calls/sec: NEMO's compute pattern with no message.
 //   - Cluster benchmarks (BM_ClusterEngine, BM_ClusterEnginePower) run the
 //     canonical 192-node CTE-Arm batch study end to end. They report both
 //     events/sec from ClusterResult::engine_events (raw engine dispatches —
@@ -60,6 +62,7 @@
 #include "core/task.h"
 #include "net/topology.h"
 #include "power/power_model.h"
+#include "roofline/kernel_library.h"
 #include "sched/allocator.h"
 #include "simmpi/world.h"
 #include "util/json.h"
@@ -646,6 +649,52 @@ BENCHMARK_CAPTURE(BM_Collective, alltoall, CollectiveKind::kAlltoall)
     ->Arg(192)
     ->Iterations(10)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Compute calls: BM_RankCompute runs a message-free World with NEMO's
+// compute pattern, 12 x (jittered compute + compute_seconds) per step at
+// compute_jitter 0.02, on fully populated CTE-Arm nodes, as many steps as
+// make ~300k calls. Each call reads the compute memo, draws its jitter
+// and moves the rank's clock, with no engine event and no coroutine
+// frame (docs/ENGINE.md section 10). events_per_s counts calls.
+// ---------------------------------------------------------------------------
+constexpr double kComputeCallsPerRun = 300000.0;
+constexpr int kComputeCallsPerStep = 24;
+
+void BM_RankCompute(benchmark::State& state) {
+  const int nranks = static_cast<int>(state.range(0));
+  const arch::MachineModel machine = arch::cte_arm();
+  roofline::KernelSig dynamics = roofline::kernels::stencil3d();
+  dynamics.name = "nemo-dynamics";
+  const int steps = std::max(
+      1, static_cast<int>(kComputeCallsPerRun /
+                          (kComputeCallsPerStep * static_cast<double>(nranks))));
+  const double calls_per_run =
+      static_cast<double>(kComputeCallsPerStep) * nranks * steps;
+  for (auto _ : state) {
+    mpi::WorldOptions options;
+    options.machine = machine;
+    options.compute_jitter = 0.02;
+    mpi::World world(std::move(options),
+                     mpi::Placement::per_core(machine.node, nranks));
+    world.run([&dynamics, steps](mpi::Rank& rank) -> sim::Task<> {
+      for (int s = 0; s < steps; ++s) {
+        for (int k = 0; k < kComputeCallsPerStep / 2; ++k) {
+          co_await rank.compute(dynamics, 2e4);
+          co_await rank.compute_seconds(4e-6);
+        }
+      }
+    });
+    benchmark::DoNotOptimize(world.engine().events_processed());
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      calls_per_run * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["events_per_run"] = benchmark::Counter(calls_per_run);
+}
+
+BENCHMARK(BM_RankCompute)->Arg(384)->Iterations(10)->Unit(
+    benchmark::kMillisecond);
 
 /// Console output plus a captured copy of every run for the JSON summary.
 class CaptureReporter : public benchmark::ConsoleReporter {

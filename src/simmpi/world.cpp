@@ -306,7 +306,7 @@ void World::Collectives::enter(World& world, const Entry& entry,
   for (std::size_t r = 0; r < time.size(); ++r) {
     world.ranks_[static_cast<std::size_t>(entry.group->global(
                      static_cast<int>(r)))]
-        ->clock_ = time[r];
+        .clock_ = time[r];
     world.run_queue_.push_back({nullptr, call.parked[r]});
   }
   world.counts_.wakes += time.size();
@@ -442,6 +442,10 @@ Group::Group(std::vector<int> members, int context)
     : members_(std::move(members)), context_(context) {
   CTESIM_EXPECTS(!members_.empty());
   for (int v = 0; v < size(); ++v) {
+    identity_ = identity_ && members_[static_cast<std::size_t>(v)] == v;
+  }
+  if (identity_) return;  // distinct, and vrank_of needs no index
+  for (int v = 0; v < size(); ++v) {
     const bool inserted =
         index_.emplace(members_[static_cast<std::size_t>(v)], v).second;
     CTESIM_EXPECTS(inserted);  // members must be distinct
@@ -467,7 +471,7 @@ World::World(WorldOptions options, Placement placement)
   std::vector<int> everyone(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     jitter_.push_back(root.split());
-    ranks_.emplace_back(new Rank(*this, r));
+    ranks_.push_back(Rank(*this, r));
     everyone[static_cast<std::size_t>(r)] = r;
   }
   world_group_.reset(new Group(std::move(everyone), /*context=*/0));
@@ -507,14 +511,14 @@ std::uint32_t World::mailbox_index(int dst, int src, int tag) {
   ++counts_.mailbox_scans;
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src) << 24) | static_cast<std::uint64_t>(tag);
-  Mailboxes& box = mailboxes_[static_cast<std::size_t>(dst)];
-  const std::size_t n = box.keys.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (box.keys[i] == key) return static_cast<std::uint32_t>(i);
+  std::vector<MailboxKey>& keys = mailboxes_[static_cast<std::size_t>(dst)];
+  for (const MailboxKey& k : keys) {
+    if (k.key == key) return k.box;
   }
-  box.keys.push_back(key);
-  box.boxes.emplace_back();
-  return static_cast<std::uint32_t>(n);
+  const auto box = static_cast<std::uint32_t>(boxes_.size());
+  boxes_.emplace_back();
+  keys.push_back({key, box});
+  return box;
 }
 
 void World::Mailbox::put(const Message& message) {
@@ -573,8 +577,8 @@ double World::run(const RankFn& body) {
     run_queue_.reserve(ranks_.size());
     draining_.reserve(ranks_.size());
   }
-  for (auto& rank : ranks_) {
-    engine_.spawn(run_rank(body, rank.get()));
+  for (Rank& rank : ranks_) {
+    engine_.spawn(run_rank(body, &rank));
   }
   // The engine runs the spawns (and every event of a congested World),
   // then the run queue resumes the ranks parked meanwhile. A rank resumed
@@ -598,7 +602,7 @@ double World::run(const RankFn& body) {
         " ranks blocked, e.g. a receive with no matching send)");
   }
   sim::Time end = engine_.now();
-  for (const auto& rank : ranks_) end = std::max(end, rank->clock_);
+  for (const Rank& rank : ranks_) end = std::max(end, rank.clock_);
   return sim::to_seconds(end);
 }
 
@@ -802,9 +806,7 @@ bool P2P::await_ready() {
           world.memoizing()
               ? World::Delivery{now + hop.arrival, now + hop.sender_done}
               : world.delivery(me, hop.peer, bytes_, now);
-      rank_->deposit(
-          world.mailboxes_[static_cast<std::size_t>(hop.peer)].boxes[hop.out],
-          hop.peer, bytes_, d);
+      rank_->deposit(world.boxes_[hop.out], hop.peer, bytes_, d);
       latest_send_ = std::max(latest_send_, d.sender_done);
     }
     return receive_next();
@@ -822,10 +824,8 @@ bool P2P::await_ready() {
 bool P2P::receive_next() {
   World& world = *rank_->world_;
   while (next_src_ < num_srcs_) {
-    World::Mailbox& box =
-        hops_ ? world.mailboxes_[static_cast<std::size_t>(rank_->id_)]
-                    .boxes[hops_[next_src_].in]
-              : world.mailbox(rank_->id_, src_, tag_);
+    World::Mailbox& box = hops_ ? world.boxes_[hops_[next_src_].in]
+                                : world.mailbox(rank_->id_, src_, tag_);
     if (!box.take(value_)) {
       CTESIM_DCHECK(box.receiver == nullptr,
                     "a mailbox has one receiver: its rank's one P2P call");
@@ -964,22 +964,18 @@ sim::Task<> Rank::reduce_scatter(const Group& group,
 
 // -------------------------------------------------------------- compute --
 
-sim::Task<> Rank::compute(const roofline::KernelSig& sig, double elems) {
+Rank::Advance Rank::compute(const roofline::KernelSig& sig, double elems) {
   double seconds = world_->kernel_seconds(sig, elems, slot().cores);
   if (world_->options_.compute_jitter > 0.0) {
     auto& rng = world_->jitter_[static_cast<std::size_t>(id_)];
     seconds *= 1.0 + world_->options_.compute_jitter * std::fabs(rng.normal());
   }
-  const sim::Time t0 = clock_;
-  co_await advance_to(t0 + sim::from_seconds(seconds));
-  world_->record(id_, t0, clock_, "compute", sig.name, 0, -1);
+  return advance_by(seconds, sig.name);
 }
 
-sim::Task<> Rank::compute_seconds(double seconds) {
+Rank::Advance Rank::compute_seconds(double seconds) {
   CTESIM_EXPECTS(seconds >= 0.0);
-  const sim::Time t0 = clock_;
-  co_await advance_to(t0 + sim::from_seconds(seconds));
-  world_->record(id_, t0, clock_, "compute", "fixed", 0, -1);
+  return advance_by(seconds, "fixed");
 }
 
 }  // namespace ctesim::mpi

@@ -66,6 +66,9 @@ class Group {
   }
   /// Position of a global rank in the group, -1 if absent.
   int vrank_of(int global_rank) const {
+    if (identity_) {
+      return global_rank >= 0 && global_rank < size() ? global_rank : -1;
+    }
     auto it = index_.find(global_rank);
     return it == index_.end() ? -1 : it->second;
   }
@@ -78,9 +81,12 @@ class Group {
 
   std::vector<int> members_;
   // Lookup-only reverse index (never iterated): hash order cannot reach
-  // simulation results. Ordered iteration happens over members_.
+  // simulation results. Ordered iteration happens over members_. Empty
+  // when the members are 0 .. size() - 1 in order (the world group, or
+  // any group equal to it), where a rank's vrank is its id.
   std::unordered_map<int, int> index_;
   int context_;
+  bool identity_ = true;
 };
 
 struct WorldOptions {
@@ -249,21 +255,22 @@ class World {
   };
   static_assert(sizeof(Mailbox) <= 64);
   Mailbox& mailbox(int dst, int src, int tag) {
-    return mailboxes_[static_cast<std::size_t>(dst)]
-        .boxes[mailbox_index(dst, src, tag)];
+    return boxes_[mailbox_index(dst, src, tag)];
   }
-  /// Index of the (src, tag) mailbox in `dst`'s array, created on first
-  /// touch. Indices are stable: the arrays only grow.
+  /// Index in boxes_ of `dst`'s (src, tag) mailbox, created on first
+  /// touch. Indices are stable: the arena only grows.
   std::uint32_t mailbox_index(int dst, int src, int tag);
 
   /// A resolved exchange (Rank::route): per neighbour, the mailbox its
   /// message goes into, the one its message comes from and, in a
-  /// memoizing World, the delivery's offsets from the send time.
+  /// memoizing World, the delivery's offsets from the send time. The
+  /// mailboxes are arena indices, so a hop reaches its mailbox in one
+  /// step and stays valid when the arena reallocates.
   struct Route {
     struct Hop {
       int peer;
-      std::uint32_t out;  ///< index in the peer's mailbox array
-      std::uint32_t in;   ///< index in this rank's mailbox array
+      std::uint32_t out;  ///< index in boxes_ of the peer's mailbox
+      std::uint32_t in;   ///< index in boxes_ of this rank's mailbox
       sim::Time arrival;
       sim::Time sender_done;
     };
@@ -286,22 +293,27 @@ class World {
   net::Network network_;
   roofline::ExecModel exec_;
   sim::Engine engine_;
-  std::vector<std::unique_ptr<Rank>> ranks_;
-  /// One destination's mailboxes: its (src, tag) keys and their queues,
-  /// parallel arrays in first-touch order (deterministic). The keys are
-  /// scanned linearly. Scheduled collectives send no message, so a NEMO
-  /// rank has only its halo neighbours (at most 4); bcast, user
-  /// messages and congested Worlds, whose collectives are messages
-  /// (the widest: OpenIFS's alltoall gives each of up to 192 actors p - 1
-  /// sources), add more. A per-destination hash measured no faster
-  /// (docs/ENGINE.md section 7). Mailboxes may move when the array grows,
-  /// so an exchange's route holds them by index; nothing holds a Mailbox&
-  /// across a suspension.
-  struct Mailboxes {
-    std::vector<std::uint64_t> keys;
-    std::vector<Mailbox> boxes;
+  /// By id; reserved once in the constructor, so a Rank never moves.
+  std::vector<Rank> ranks_;
+  /// Every mailbox of the World, for every (destination, source, tag), in
+  /// first-touch order (deterministic): one arena, so a deposit or a
+  /// receive through an index touches the mailbox alone. Mailboxes move
+  /// when the arena grows, so an exchange's route holds them by index;
+  /// nothing holds a Mailbox& across a suspension, or across a call that
+  /// may create a mailbox (docs/ENGINE.md section 7).
+  std::vector<Mailbox> boxes_;
+  /// One destination's mailboxes: each (src, tag) key with its index in
+  /// boxes_, in first-touch order, scanned linearly. Scheduled
+  /// collectives send no message, so a NEMO rank has only its halo
+  /// neighbours (at most 4); bcast, user messages and congested Worlds,
+  /// whose collectives are messages (the widest: OpenIFS's alltoall gives
+  /// each of up to 192 actors p - 1 sources), add more. A per-destination
+  /// hash measured no faster (docs/ENGINE.md section 7).
+  struct MailboxKey {
+    std::uint64_t key;  ///< source << 24 | tag
+    std::uint32_t box;  ///< index in boxes_
   };
-  std::vector<Mailboxes> mailboxes_;
+  std::vector<std::vector<MailboxKey>> mailboxes_;
   /// One slot of the delivery table: the offsets of a (source node,
   /// destination node, bytes) delivery from its send time.
   struct DeliveryMemo {
@@ -495,32 +507,45 @@ class Rank {
   sim::Task<> reduce_scatter(const Group& group, std::uint64_t total_bytes);
 
   // --- compute -----------------------------------------------------------
+  /// The awaiter of a compute call: a compute span from the rank's clock
+  /// at the call to `to`. The call has already read the model and drawn
+  /// the jitter, in the same full-expression as its co_await. Awaiting
+  /// moves the rank's clock to `to` with no engine event, unless the World
+  /// must sleep until then (World::must_sleep_until), and records the span
+  /// once the rank goes on, after any sleep. A plain awaiter, not a
+  /// sim::Task, so a compute call costs no coroutine frame.
+  class [[nodiscard]] Advance {
+   public:
+    bool await_ready() const noexcept;
+    void await_suspend(std::coroutine_handle<> h) const;
+    void await_resume() const;
+
+   private:
+    friend class Rank;
+    Advance(Rank* rank, sim::Time start, sim::Time to, const char* detail)
+        : rank_(rank), start_(start), to_(to), detail_(detail) {}
+
+    Rank* rank_;
+    sim::Time start_;
+    sim::Time to_;
+    const char* detail_;  ///< the span's detail: the kernel's name
+  };
+
   /// Run `elems` elements of `sig` on this rank's cores.
-  sim::Task<> compute(const roofline::KernelSig& sig, double elems);
+  Advance compute(const roofline::KernelSig& sig, double elems);
   /// Occupy this rank for a fixed time (I/O waits, serial sections).
-  sim::Task<> compute_seconds(double seconds);
+  Advance compute_seconds(double seconds);
 
  private:
   friend class World;
   friend class P2P;
   Rank(World& world, int id) : world_(&world), id_(id) {}
 
-  /// The awaiter of an advance of this rank's clock (see advance_to).
-  struct [[nodiscard]] Advance {
-    Rank* rank;
-    sim::Time to;
-    bool await_ready() const noexcept;
-    void await_suspend(std::coroutine_handle<> h) const;
-    void await_resume() const { rank->check_clock(); }
-  };
-  // A co_await temporary: core/task.h's GCC 12 constraint.
-  static_assert(std::is_trivially_destructible_v<Advance>);
-
-  /// Move the clock to `t` (>= now()) when awaited: no engine event,
-  /// unless the World must sleep until `t` (World::must_sleep_until).
-  Advance advance_to(sim::Time t) {
-    CTESIM_EXPECTS(t >= clock_);
-    return Advance{this, t};
+  /// A compute span of `seconds` from now(), labelled `detail`.
+  Advance advance_by(double seconds, const char* detail) {
+    const sim::Time to = clock_ + sim::from_seconds(seconds);
+    CTESIM_EXPECTS(to >= clock_);
+    return Advance(this, clock_, to, detail);
   }
   /// The rank-clock invariant, checked on every resume (CTESIM_CHECKS;
   /// a violation throws into the rank, and World::run rethrows it).
@@ -551,14 +576,23 @@ class Rank {
   std::uint8_t last_route_ = 0;  ///< the entry the last exchange used
 };
 
+// A co_await temporary: core/task.h's GCC 12 constraint.
+static_assert(std::is_trivially_destructible_v<Rank::Advance>);
+
 inline bool Rank::Advance::await_ready() const noexcept {
-  rank->clock_ = to;
-  return !rank->world_->must_sleep_until(to);
+  rank_->clock_ = to_;
+  return !rank_->world_->must_sleep_until(to_);
 }
 
 inline void Rank::Advance::await_suspend(std::coroutine_handle<> h) const {
   auto resume = [h] { h.resume(); };
-  rank->world_->engine_.schedule_at(to, std::move(resume));
+  rank_->world_->engine_.schedule_at(to_, std::move(resume));
+}
+
+inline void Rank::Advance::await_resume() const {
+  rank_->check_clock();
+  rank_->world_->record(rank_->id_, start_, rank_->clock_, "compute", detail_,
+                        0, -1);
 }
 
 }  // namespace ctesim::mpi

@@ -267,8 +267,8 @@ std::uint64_t mailbox_world_allocations(int tags, int depth, int steps,
 
 TEST(EngineAlloc, EmptyChannelAllocatesNothing) {
   // 32 more mailboxes, each filled with one message and drained, cost only
-  // the growth of rank 1's two per-destination arrays (keys and mailboxes,
-  // one doubling each): a mailbox itself owns no heap memory.
+  // one doubling of rank 1's key array and one of the World's mailbox
+  // arena: a mailbox itself owns no heap memory.
   mailbox_world_allocations(32, 1, 1);  // warm up the frame pool
   const std::uint64_t few = mailbox_world_allocations(32, 1, 1);
   const std::uint64_t many = mailbox_world_allocations(64, 1, 1);

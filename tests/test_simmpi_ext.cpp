@@ -38,6 +38,19 @@ TEST(Group, CreateGroupMapsVranks) {
   EXPECT_GT(g.context(), 0);
 }
 
+TEST(Group, InOrderPrefixGroupFindsOnlyItsMembers) {
+  // Members 0 .. size() - 1 in order: a vrank is the rank's id, and a
+  // rank past the group, or no rank, has none.
+  auto world = make_world(8);
+  const Group g = world.create_group({0, 1, 2});
+  EXPECT_EQ(g.vrank_of(2), 2);
+  EXPECT_EQ(g.vrank_of(3), -1);
+  EXPECT_EQ(g.vrank_of(-1), -1);
+  EXPECT_FALSE(g.contains(7));
+  EXPECT_EQ(world.world_group().vrank_of(7), 7);
+  EXPECT_EQ(world.world_group().vrank_of(8), -1);
+}
+
 TEST(Group, RejectsDuplicatesAndOutOfRange) {
   auto world = make_world(4);
   EXPECT_THROW(world.create_group({0, 0}), ContractError);

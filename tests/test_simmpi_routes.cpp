@@ -257,6 +257,33 @@ TEST(Routes, CongestedWorldNeverMemoizes) {
   EXPECT_GT(got.counts.delivery_evals, 0u);
 }
 
+TEST(Routes, ArenaGrowthKeepsCachedRoutes) {
+  // A route holds its mailboxes as arena indices. After it is cached,
+  // eight sendrecvs per rank with new sources create 768 mailboxes
+  // against the 192 the ring's routes made, so the arena reallocates at
+  // least once; the cached routes must still reach the same mailboxes.
+  const Placement placement = Placement::per_core(arch::cte_arm().node, 96);
+  const Body body = [](Rank& r, bool evict) -> sim::Task<> {
+    const int n = r.size();
+    const std::vector<int> ring = {(r.id() + n - 1) % n, (r.id() + 1) % n};
+    co_await r.exchange(ring, 4096, /*tag=*/1);
+    for (int d = 2; d < 10; ++d) {
+      co_await r.sendrecv((r.id() + d) % n, 512, (r.id() + n - d) % n,
+                          /*tag=*/d);
+    }
+    for (int step = 0; step < 3; ++step) {
+      if (evict) co_await evict_routes(r);
+      co_await r.exchange(ring, 4096, /*tag=*/1);
+      co_await r.compute_seconds(1e-6 * (r.id() % 3));
+    }
+  };
+  const Outcome got = expect_matches_fresh(cte_options(), placement, body);
+  EXPECT_EQ(got.counts.route_misses, 96u);
+  EXPECT_EQ(got.counts.route_hits, 3u * 96);
+  // Two scans per ring neighbour, once; two per sendrecv.
+  EXPECT_EQ(got.counts.mailbox_scans, 96u * 2 * 2 + 96u * 8 * 2);
+}
+
 /// A ring exchange on 96 ranks. With `degrade`, rank 0 degrades node 1's
 /// receive path after the first of four steps, while the run is in flight.
 double run_ring(Mode mode, bool degrade) {

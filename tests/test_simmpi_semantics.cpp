@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/configs.h"
+#include "core/frame_pool.h"
 #include "roofline/kernel_library.h"
 #include "simmpi/world.h"
 #include "util/check.h"
@@ -557,6 +560,91 @@ TEST(Clock, ComputeMemoGivesTheModelsDoubles) {
   EXPECT_EQ(calls, std::vector<int>(3, 9));
   EXPECT_NE(model(overlapped, 1e5), model(serialized, 1e5));
   EXPECT_EQ(world.op_counts().compute_memo_hits, 21u);
+}
+
+/// Coroutine frames (pooled or not) taken by one compute-only World of 8
+/// ranks running `steps` steps of NEMO's compute pattern: 12 jittered
+/// compute calls and 12 compute_seconds calls per step.
+std::uint64_t compute_world_frames(int steps) {
+  const auto frames = [] {
+    const sim::frame_pool::Stats s = sim::frame_pool::stats();
+    return s.pool_hits + s.pool_misses + s.oversize;
+  };
+  const std::uint64_t before = frames();
+  WorldOptions options = quiet_options();
+  options.compute_jitter = 0.02;
+  World world(std::move(options),
+              Placement::per_core(arch::cte_arm().node, 8));
+  world.run([steps](Rank& r) -> sim::Task<> {
+    for (int step = 0; step < steps; ++step) {
+      for (int phase = 0; phase < 12; ++phase) {
+        co_await r.compute(roofline::kernels::stream_triad(), 1e3 * phase);
+        co_await r.compute_seconds(1e-7 * phase);
+      }
+    }
+  });
+  return frames() - before;
+}
+
+TEST(Clock, ComputeTakesNoCoroutineFrame) {
+  // A World takes its ranks' frames (run_rank and the body) whatever the
+  // step count; compute and compute_seconds are plain awaiters, so 216
+  // more compute calls per rank take none.
+  const std::uint64_t one = compute_world_frames(1);
+  EXPECT_EQ(compute_world_frames(10), one);
+  EXPECT_GT(one, 0u);
+}
+
+/// A span as the recorder holds it: rank, kind, detail, start and end.
+using SpanRow = std::tuple<int, std::string, std::string, sim::Time, sim::Time>;
+
+TEST(Clock, CongestedComputeRecordsAfterWaking) {
+  // A congested World sleeps a computing rank in the engine until its
+  // compute ends, and records the compute span only once it wakes, so the
+  // recording order follows simulated time: rank 2's shorter computes
+  // come before rank 0's longer ones, and each rank's send and recv
+  // spans follow its compute span. Times in ps.
+  WorldOptions options = traced_options();
+  options.congestion = true;
+  World world(std::move(options),
+              Placement::per_node(arch::cte_arm().node, 3));
+  world.run([](Rank& r) -> sim::Task<> {
+    const int n = r.size();
+    const int right = (r.id() + 1) % n;
+    const int left = (r.id() + n - 1) % n;
+    co_await r.compute_seconds(1e-5 * (n - r.id()));
+    co_await r.sendrecv(right, 64 << 10, left);
+    co_await r.compute(roofline::kernels::stream_triad(), 1e5 * (n - r.id()));
+    co_await r.sendrecv(right, 64 << 10, left);
+  });
+  std::vector<SpanRow> got;
+  for (const trace::Span& s : world.recorder()->spans()) {
+    if (s.track.kind != trace::TrackKind::kRank) continue;
+    got.emplace_back(s.track.index, s.name, s.detail, s.start, s.end);
+  }
+  const std::vector<SpanRow> want{
+      {2, "compute", "fixed", 0, 10'000'000},
+      {2, "send", "", 10'000'000, 23'202'939},
+      {1, "compute", "fixed", 0, 20'000'000},
+      {1, "send", "", 20'000'000, 33'431'719},
+      {0, "compute", "fixed", 0, 30'000'000},
+      {0, "send", "", 30'000'000, 43'202'939},
+      {0, "recv", "", 30'000'000, 30'000'000},
+      {2, "recv", "", 10'000'000, 33'431'719},
+      {2, "compute", "stream-triad", 33'431'719, 37'925'119},
+      {2, "send", "", 37'925'119, 51'128'058},
+      {1, "recv", "", 20'000'000, 43'202'939},
+      {1, "compute", "stream-triad", 43'202'939, 52'189'738},
+      {1, "send", "", 52'189'738, 65'621'457},
+      {0, "compute", "stream-triad", 43'202'939, 56'683'138},
+      {0, "send", "", 56'683'138, 69'886'077},
+      {0, "recv", "", 56'683'138, 56'683'138},
+      {2, "recv", "", 37'925'119, 65'621'457},
+      {1, "recv", "", 52'189'738, 69'886'077},
+  };
+  EXPECT_EQ(got, want);
+  // 3 spawns, 6 compute sleeps and one hand-off or sleep per sendrecv.
+  EXPECT_EQ(world.engine().events_processed(), 15u);
 }
 
 }  // namespace

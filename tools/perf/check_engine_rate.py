@@ -18,8 +18,8 @@ Compares a fresh bench/engine_rate summary against the committed baseline
      one. This holds the per-event power bookkeeping at O(1).
   3. coverage: the fresh summary must contain every hot-path microbench
      (REQUIRED_RUNS below). A bench binary that silently dropped the queue,
-     dispatch, placement, backfill, mailbox or collective benchmarks would
-     otherwise pass the gate trivially.
+     dispatch, placement, backfill, mailbox, collective or compute
+     benchmarks would otherwise pass the gate trivially.
   4. dispatch speedup: BM_ScheduleDispatch (4-ary queue + InlineFunction
      engine) must stay at least ``--min-dispatch-speedup`` (default 1.8)
      times faster than BM_ScheduleDispatchLegacy (the in-tree pre-refactor
@@ -72,6 +72,7 @@ REQUIRED_RUNS = (
     "BM_Collective/allreduce/384",
     "BM_Collective/allreduce/9216",
     "BM_Collective/alltoall/192",
+    "BM_RankCompute/384",
     "BM_ClusterEngine/150",
     "BM_ClusterEngine/600",
     "BM_ClusterEnginePower/600",
