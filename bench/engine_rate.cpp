@@ -12,7 +12,8 @@
 //     tools/perf/check_engine_rate.py gates dispatch/legacy >= 1.8x at
 //     16 timers, on the medians of repeated runs.
 //   - Placement benchmarks (BM_TorusHops, BM_AllocateContiguous at 192,
-//     1536 and 12288 nodes, BM_AllocateContiguousNearFull) time the
+//     1536 and 12288 nodes, BM_AllocateContiguousNearFull and
+//     BM_AllocateContiguousSparse, BM_LargestFreeBlock) time the
 //     topology and allocator layer that dominates the cluster benchmarks,
 //     and how it grows with machine size and load.
 //   - BM_BackfillScan times the EASY queue's next-startable scan on a deep
@@ -446,6 +447,46 @@ void BM_AllocateContiguousNearFull(benchmark::State& state) {
 
 BENCHMARK(BM_AllocateContiguousNearFull)
     ->Arg(192)
+    ->Unit(benchmark::kMicrosecond);
+
+/// 8 nodes on a machine about 8% busy: ctebench server_mix's shape, where
+/// most seeds' first positions are all free.
+void BM_AllocateContiguousSparse(benchmark::State& state) {
+  allocate_contiguous(state, 0.08, 8);
+}
+
+BENCHMARK(BM_AllocateContiguousSparse)
+    ->Arg(192)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Allocator::largest_free_block (the fragmentation probe a batch study
+/// samples at every start and completion) on `range(0)` nodes with a
+/// seeded random `range(1)` percent of them busy. events_per_s counts
+/// probes.
+void BM_LargestFreeBlock(benchmark::State& state) {
+  const net::TorusTopology torus(
+      torus_dims(static_cast<int>(state.range(0))));
+  sched::Allocator alloc(torus);
+  Rng rng(7);
+  std::vector<int> busy;
+  for (int node = 0; node < torus.num_nodes(); ++node) {
+    if (rng.uniform() * 100.0 < static_cast<double>(state.range(1))) {
+      busy.push_back(node);
+    }
+  }
+  alloc.occupy(busy);
+  int block = 0;
+  for (auto _ : state) {
+    block += alloc.largest_free_block();
+    benchmark::DoNotOptimize(block);
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_LargestFreeBlock)
+    ->Args({192, 8})
+    ->Args({192, 90})
     ->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------

@@ -38,16 +38,33 @@ double JobQueue::shadow_time(double now_s, int free_nodes,
   CTESIM_EXPECTS(!queue_.empty());
   const int needed = queue_.front().nodes;
   if (needed <= free_nodes) return now_s;
-  // Walk predicted releases in end order until the head fits.
-  std::vector<Reservation> ends(running);
-  std::sort(ends.begin(), ends.end(),
-            [](const Reservation& a, const Reservation& b) {
-              return a.predicted_end_s < b.predicted_end_s;
-            });
-  int free = free_nodes;
-  for (const Reservation& r : ends) {
-    free += r.nodes;
-    if (free >= needed) return std::max(now_s, r.predicted_end_s);
+  // The smallest predicted end T with free + (nodes ending by T) >= needed:
+  // a weighted selection over a reused copy, so a scan neither allocates
+  // nor sorts. Each round splits the candidates around the middle one's
+  // end; the answer is that end, or lies among the earlier or later ends.
+  ends_.assign(running.begin(), running.end());
+  int missing = needed - free_nodes;
+  auto lo = ends_.begin();
+  auto hi = ends_.end();
+  while (lo != hi) {
+    const double pivot = lo[(hi - lo) / 2].predicted_end_s;
+    const auto before = std::partition(lo, hi, [pivot](const Reservation& r) {
+      return r.predicted_end_s < pivot;
+    });
+    const auto after =
+        std::partition(before, hi, [pivot](const Reservation& r) {
+          return r.predicted_end_s == pivot;
+        });
+    int earlier = 0;
+    for (auto it = lo; it != before; ++it) earlier += it->nodes;
+    if (earlier >= missing) {
+      hi = before;
+      continue;
+    }
+    missing -= earlier;
+    for (auto it = before; it != after; ++it) missing -= it->nodes;
+    if (missing <= 0) return std::max(now_s, pivot);
+    lo = after;
   }
   // Unreachable on a dedicated machine (free + running == total >= needed),
   // but keep the planner total: the head then never backfill-blocks.

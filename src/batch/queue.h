@@ -66,6 +66,9 @@ class JobQueue {
   QueuePolicy policy_;
   int total_nodes_;
   std::deque<Job> queue_;
+  /// shadow_time's working copy of the reservations, reused across scans
+  /// (a JobQueue is not shared between threads).
+  mutable std::vector<Reservation> ends_;
 };
 
 }  // namespace ctesim::batch

@@ -1,6 +1,7 @@
 #include "sched/allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <limits>
 
@@ -75,11 +76,12 @@ Allocator::Allocator(const net::TorusTopology& topology)
   // the offset order every seed's walk translates.
   bfs(0, next_stamp(), [](int) { return true; });
   order_.reserve(coords_.size());
+  rank_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const int* c =
-        &coords_[static_cast<std::size_t>(queue_[static_cast<std::size_t>(i)]) *
-                 num_dims];
+    const int offset = queue_[static_cast<std::size_t>(i)];
+    const int* c = &coords_[static_cast<std::size_t>(offset) * num_dims];
     order_.insert(order_.end(), c, c + num_dims_);
+    rank_[static_cast<std::size_t>(offset)] = i;
   }
   dim_at_.push_back(0);
   int stride = n;
@@ -100,6 +102,15 @@ Allocator::Allocator(const net::TorusTopology& topology)
   }
   near_.assign(slot_dim_.size(), 0);
   row_.resize(num_dims);
+  // Room for every count up front, so a placement that extends the
+  // prefix tables allocates nothing; rows are touched only when built.
+  prefix_total_.reserve(static_cast<std::size_t>(n) + 1);
+  prefix_total_.assign(1, 0);
+  prefix_near_.reserve((static_cast<std::size_t>(n) + 1) * near_.size());
+  prefix_near_.assign(near_.size(), 0);
+  free_.reserve(static_cast<std::size_t>(n));
+  mask_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  at_position_.resize(static_cast<std::size_t>(n));
 
   counts_.assign(static_cast<std::size_t>(
                      *std::max_element(dims.begin(), dims.end())),
@@ -214,11 +225,15 @@ int Allocator::largest_free_block() const {
   const std::uint32_t stamp = next_stamp();
   const auto free = [this](int node) { return !unavailable(node); };
   int best = 0;
-  for (int start = 0; start < n; ++start) {
+  // A block not found yet holds at most the free nodes not yet reached.
+  int unreached = free_count_;
+  for (int start = 0; start < n && best < unreached; ++start) {
     if (unavailable(start) || seen_[static_cast<std::size_t>(start)] == stamp) {
       continue;
     }
-    best = std::max(best, bfs(start, stamp, free));
+    const int size = bfs(start, stamp, free);
+    best = std::max(best, size);
+    unreached -= size;
   }
   return best;
 }
@@ -291,6 +306,8 @@ std::vector<int> Allocator::allocate_random(int count, std::uint64_t seed) {
 }
 
 std::vector<int> Allocator::allocate_contiguous(int count) {
+  // Every seed's ball of the whole free set is that set: no scan.
+  if (count == free_nodes()) return allocate_linear(count);
   // Grow a BFS ball around each candidate seed and keep the ball with the
   // smallest mean pairwise hops (the scheduler's block placement). Large
   // machines try a stride sample of seeds; when every sampled seed is
@@ -304,6 +321,31 @@ std::vector<int> Allocator::allocate_contiguous(int count) {
   return nodes;
 }
 
+void Allocator::extend_prefix(int count) {
+  const auto num_dims = static_cast<std::size_t>(num_dims_);
+  const std::size_t slots = near_.size();
+  auto j = prefix_total_.size() - 1;
+  if (static_cast<std::size_t>(count) <= j) return;
+  prefix_near_.resize((static_cast<std::size_t>(count) + 1) * slots);
+  for (; j < static_cast<std::size_t>(count); ++j) {
+    // Admit position j of seed 0's walk, as scan_seeds does on a machine
+    // with nothing busy.
+    const int* o = &order_[j * num_dims];
+    const std::int64_t* row = &prefix_near_[j * slots];
+    std::int64_t total = prefix_total_[j];
+    for (std::size_t d = 0; d < num_dims; ++d) {
+      total += row[static_cast<std::size_t>(dim_at_[d] + o[d])];
+    }
+    prefix_total_.push_back(total);
+    std::int64_t* next = &prefix_near_[(j + 1) * slots];
+    for (std::size_t k = 0; k < slots; ++k) {
+      next[k] = row[k] + wrap_[static_cast<std::size_t>(
+                             slot_wrap_[k] -
+                             o[static_cast<std::size_t>(slot_dim_[k])])];
+    }
+  }
+}
+
 // The walk below is the hottest loop of a batch study. Starting it on a
 // cache-line boundary keeps its speed independent of how much unrelated
 // code the linker places in front of it: without the pin, code-size
@@ -312,6 +354,7 @@ std::vector<int> Allocator::allocate_contiguous(int count) {
 [[gnu::aligned(64)]] bool Allocator::scan_seeds(int count, int stride) {
   const int n = topology_->num_nodes();
   const auto num_dims = static_cast<std::size_t>(num_dims_);
+  const std::size_t slots = near_.size();
   // Every ball of one scan has `count` nodes, so ordering balls by mean
   // hops is ordering them by exact hop totals. No ball totals below
   // `pairs` (distinct nodes are at least one hop apart), so the first
@@ -319,46 +362,139 @@ std::vector<int> Allocator::allocate_contiguous(int count) {
   const std::int64_t pairs = std::int64_t{count} * (count - 1) / 2;
   std::int64_t best_total = std::numeric_limits<std::int64_t>::max();
   best_.clear();
+  extend_prefix(count);
+  // Ranking the F free nodes costs F per seed; a walk reads about
+  // count * n / F positions to fill a ball.
+  const std::int64_t free = free_count_;
+  const bool dense = free * free * kDenseDivisor < std::int64_t{count} * n;
+  if (dense) {
+    free_.clear();
+    for (int node = 0; node < n; ++node) {
+      if (!unavailable(node)) free_.push_back(node);
+    }
+  }
+  bool clean_scored = false;
+
+  std::int64_t total = 0;
+  // Scores the node at offset `o` into the ball; true when the seed is
+  // done (it cannot win, or its ball is full and the best so far). Totals
+  // only grow, so a seed whose partial total reaches the best cannot win
+  // (ties go to the lower seed).
+  // Inlined into both scans: a call would keep `total` in memory.
+  const auto admit = [&](const int* o,
+                         int node) __attribute__((always_inline)) {
+    for (std::size_t d = 0; d < num_dims; ++d) {
+      total += near_[static_cast<std::size_t>(dim_at_[d] + o[d])];
+    }
+    if (total >= best_total) return true;
+    ball_.push_back(node);
+    if (static_cast<int>(ball_.size()) == count) {
+      best_total = total;
+      best_.swap(ball_);
+      return true;
+    }
+    // One flat pass over every dimension's slots, so the loop's trip
+    // count is the same for every node and its branch predicts.
+    for (std::size_t k = 0; k < slots; ++k) {
+      near_[k] += wrap_[static_cast<std::size_t>(
+          slot_wrap_[k] - o[static_cast<std::size_t>(slot_dim_[k])])];
+    }
+    return false;
+  };
+
   for (int seed = 0; seed < n && best_total > pairs; seed += stride) {
     if (unavailable(seed)) continue;
     const int* c = &coords_[static_cast<std::size_t>(seed) * num_dims];
-    for (std::size_t d = 0; d < num_dims; ++d) {
-      row_[d] = 2 * dim_at_[d] + c[d];
-    }
-    std::fill(near_.begin(), near_.end(), 0);
     ball_.clear();
-    std::int64_t total = 0;
-    const int* o = order_.data();
-    int i = 0;
-    for (; i < n; ++i, o += num_dims) {
-      int node = 0;
+    // The seed's clean prefix: positions 0..k-1 hold free nodes.
+    int k = 0;
+    if (dense) {
       for (std::size_t d = 0; d < num_dims; ++d) {
-        node += shift_[static_cast<std::size_t>(row_[d] + o[d])];
+        row_[d] = dim_at_[d] + dim_at_[d + 1] - c[d];
       }
-      if (unavailable(node)) continue;
-      // The node's hops to the ball so far; totals only grow, so a seed
-      // whose partial total reaches the best cannot win (ties go to the
-      // lower seed).
+      for (const int node : free_) {
+        const int* f = &coords_[static_cast<std::size_t>(node) * num_dims];
+        int offset = 0;
+        for (std::size_t d = 0; d < num_dims; ++d) {
+          offset += shift_[static_cast<std::size_t>(row_[d] + f[d])];
+        }
+        const auto p =
+            static_cast<std::size_t>(rank_[static_cast<std::size_t>(offset)]);
+        mask_[p >> 6] |= std::uint64_t{1} << (p & 63);
+        at_position_[p] = node;
+      }
+      std::size_t w = 0;
+      // Some position is not free (count < free < n), so the scan stops.
+      while (mask_[w] == ~std::uint64_t{0}) ++w;
+      k = std::min(count,
+                   static_cast<int>(64 * w) + std::countr_one(mask_[w]));
+      ball_.insert(ball_.end(), at_position_.begin(),
+                   at_position_.begin() + k);
+    } else {
       for (std::size_t d = 0; d < num_dims; ++d) {
-        total += near_[static_cast<std::size_t>(dim_at_[d] + o[d])];
+        row_[d] = 2 * dim_at_[d] + c[d];
       }
-      if (total >= best_total) break;
-      ball_.push_back(node);
-      if (static_cast<int>(ball_.size()) == count) {
-        best_total = total;
-        best_.swap(ball_);
-        break;
-      }
-      // One flat pass over every dimension's slots, so the loop's trip
-      // count is the same for every node and its branch predicts.
-      for (std::size_t k = 0; k < near_.size(); ++k) {
-        near_[k] += wrap_[static_cast<std::size_t>(
-            slot_wrap_[k] - o[static_cast<std::size_t>(slot_dim_[k])])];
+      for (const int* o = order_.data(); k < count; ++k, o += num_dims) {
+        int node = 0;
+        for (std::size_t d = 0; d < num_dims; ++d) {
+          node += shift_[static_cast<std::size_t>(row_[d] + o[d])];
+        }
+        if (unavailable(node)) break;
+        ball_.push_back(node);
       }
     }
-    CTESIM_DCHECK(i < n,
-                  "a free seed's ball must fill while count <= free_nodes()");
-    positions_walked_ += static_cast<std::uint64_t>(i) + 1;
+
+    // Up to position k the walk is seed 0's empty-machine walk, so its
+    // total and near_ are the prefix tables' row k. A walk has read k + 1
+    // positions here (the last one busy), a dense scan k free ones.
+    std::uint64_t read = static_cast<std::uint64_t>(k) + (dense ? 0 : 1);
+    if (k == count) {
+      if (!clean_scored && prefix_total_[static_cast<std::size_t>(k)] <
+                               best_total) {
+        best_total = prefix_total_[static_cast<std::size_t>(k)];
+        best_.swap(ball_);
+      }
+      clean_scored = true;
+      read = static_cast<std::uint64_t>(k);
+    } else if (prefix_total_[static_cast<std::size_t>(k)] < best_total) {
+      total = prefix_total_[static_cast<std::size_t>(k)];
+      std::copy_n(&prefix_near_[static_cast<std::size_t>(k) * slots], slots,
+                  near_.begin());
+      if (dense) {
+        // The masked positions past k, in order.
+        bool done = false;
+        std::uint64_t from = ~std::uint64_t{0} << (k & 63);
+        for (auto w = static_cast<std::size_t>(k) >> 6;
+             !done && w < mask_.size(); ++w, from = ~std::uint64_t{0}) {
+          for (std::uint64_t bits = mask_[w] & from; bits != 0 && !done;
+               bits &= bits - 1) {
+            const auto p = 64 * w + static_cast<std::size_t>(
+                                        std::countr_zero(bits));
+            done = admit(&order_[p * num_dims], at_position_[p]);
+            ++read;
+          }
+        }
+        CTESIM_DCHECK(done, "a dense scan ran out of free nodes");
+      } else {
+        int i = k + 1;
+        for (const int* o = &order_[static_cast<std::size_t>(i) * num_dims];
+             i < n; ++i, o += num_dims) {
+          int node = 0;
+          for (std::size_t d = 0; d < num_dims; ++d) {
+            node += shift_[static_cast<std::size_t>(row_[d] + o[d])];
+          }
+          if (!unavailable(node) && admit(o, node)) break;
+        }
+        CTESIM_DCHECK(
+            i < n, "a free seed's ball must fill while count <= free_nodes()");
+        read = static_cast<std::uint64_t>(i) + 1;
+      }
+    }
+    if (dense) {
+      std::fill(mask_.begin(), mask_.end(), 0);
+      read += free_.size();
+    }
+    positions_walked_ += read;
   }
   return !best_.empty();
 }

@@ -75,7 +75,8 @@ class Allocator {
   bool is_busy(int node) const;
 
   /// Size of the largest connected block of free nodes (torus adjacency).
-  /// 0 when the machine is full.
+  /// 0 when the machine is full. Stops once no block it has not reached
+  /// could be larger.
   int largest_free_block() const;
 
   /// Fragmentation in [0,1]: 1 - largest_free_block/free_nodes. 0 means all
@@ -90,8 +91,15 @@ class Allocator {
   /// summing TorusTopology::hops over every pair.
   double mean_pairwise_hops(const std::vector<int>& nodes) const;
 
-  /// Visit-order positions read by contiguous placements so far, busy
-  /// nodes included: the work of every seed's walk, pruned or not.
+  /// A placement scan is dense when free² < count·n / kDenseDivisor:
+  /// ranking every free node then costs less than walking to the ball's
+  /// last node. Calibrated on BM_AllocateContiguous* shapes
+  /// (docs/ENGINE.md §6). Either scan returns the same nodes.
+  static constexpr std::int64_t kDenseDivisor = 2;
+
+  /// Work of contiguous placements so far: visit-order positions read
+  /// (busy nodes included, pruned seeds too) plus free nodes ranked by a
+  /// dense scan. A placement that takes every free node adds nothing.
   std::uint64_t positions_walked() const { return positions_walked_; }
 
  private:
@@ -107,7 +115,22 @@ class Allocator {
   /// neighbour order commutes with translation, so that order is order_
   /// translated by the seed's coordinates: no BFS runs per seed. Each ball
   /// is scored as it grows, by exact int64 hop totals.
+  ///
+  /// Work that cannot change the result is skipped (docs/ENGINE.md §6):
+  /// - with few free nodes (free² < count·n / kDenseDivisor) a dense scan
+  ///   ranks each free node's visit position by rank_ into mask_ instead
+  ///   of reading every busy position;
+  /// - a seed's walk up to its first busy position is seed 0's walk on
+  ///   an empty machine, so scoring resumes from prefix_total_ and
+  ///   prefix_near_ there;
+  /// - a seed whose first `count` positions are all free (a clean seed)
+  ///   totals prefix_total_[count]; after the first one, later clean
+  ///   seeds can only tie, and ties go to the lower seed, so they are
+  ///   skipped.
   bool scan_seeds(int count, int stride);
+
+  /// Grows prefix_total_ and prefix_near_ to cover balls of `count`.
+  void extend_prefix(int count);
 
   /// Sum of hops over all unordered pairs of `nodes`, exact.
   std::int64_t total_pairwise_hops(const std::vector<int>& nodes) const;
@@ -153,6 +176,15 @@ class Allocator {
   /// that an offset o along d is subtracted from to get wrap(x - o).
   std::vector<int> slot_dim_;
   std::vector<int> slot_wrap_;
+  /// Inverse of order_: rank_[node] is the visit position of the offset
+  /// whose node id (as an offset from node 0) is `node`.
+  std::vector<int> rank_;
+  /// Seed 0's walk on an empty machine, up to the largest count asked:
+  /// prefix_total_[j] is the hop total of its first j nodes, and row j of
+  /// prefix_near_ (near_.size() entries) is near_ after those j nodes.
+  /// Capacity for every count is reserved by the constructor.
+  std::vector<std::int64_t> prefix_total_;
+  std::vector<std::int64_t> prefix_near_;
   std::vector<std::uint8_t> state_;  ///< per node: 0 (free), kBusy or kDrained
   int free_count_;
   int drained_count_ = 0;
@@ -170,7 +202,14 @@ class Allocator {
   /// Per dimension: the hops along d from each offset coordinate to the
   /// ball grown so far.
   std::vector<std::int64_t> near_;
-  std::vector<int> row_;  ///< per dimension: 2 * dim_at_[d] + c_d of the seed
+  /// Per dimension: 2 * dim_at_[d] + c_d of the seed (a walk), or
+  /// 2 * dim_at_[d] + L_d - c_d (a dense scan, which subtracts the seed).
+  std::vector<int> row_;
+  std::vector<int> free_;  ///< the free nodes of a dense scan
+  /// Dense scan: bit p set when visit position p holds a free node, and
+  /// that node in at_position_[p].
+  std::vector<std::uint64_t> mask_;
+  std::vector<int> at_position_;
   std::vector<int> ball_;
   std::vector<int> best_;
 };

@@ -2,8 +2,11 @@
 // queue policies (FCFS / EASY backfill) and hand-checked cluster metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "arch/configs.h"
 #include "batch/cluster.h"
@@ -11,6 +14,7 @@
 #include "batch/queue.h"
 #include "batch/workload.h"
 #include "power/power_model.h"
+#include "util/rng.h"
 
 namespace ctesim::batch {
 namespace {
@@ -138,6 +142,51 @@ TEST(JobQueue, EasyBackfillRespectsShadowTime) {
   EXPECT_EQ(queue.next_startable(0.0, 1, running), 1);
   queue.pop(1);
   EXPECT_EQ(queue.next_startable(0.0, 1, running), -1);
+}
+
+// The shadow time as first written: sort the reservations by predicted
+// end and walk them until the head fits.
+double reference_shadow_time(double now_s, int free_nodes, int needed,
+                             std::vector<Reservation> ends) {
+  if (needed <= free_nodes) return now_s;
+  std::sort(ends.begin(), ends.end(),
+            [](const Reservation& a, const Reservation& b) {
+              return a.predicted_end_s < b.predicted_end_s;
+            });
+  for (const Reservation& r : ends) {
+    free_nodes += r.nodes;
+    if (free_nodes >= needed) return std::max(now_s, r.predicted_end_s);
+  }
+  return std::numeric_limits<double>::infinity();
+}
+
+TEST(JobQueue, ShadowTimeMatchesSortedWalk) {
+  // Ends drawn from a few values, so ties are common; some are infinite,
+  // some precede `now`, and some heads are wider than every reservation
+  // plus the free nodes (the infinite shadow).
+  Rng rng(29);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<Reservation> running(
+        static_cast<std::size_t>(rng.uniform_int(0, 40)));
+    for (std::size_t i = 0; i < running.size(); ++i) {
+      const std::int64_t slot = rng.uniform_int(0, 12);
+      running[i] = {static_cast<int>(i),
+                    slot == 12 ? inf : 10.0 * static_cast<double>(slot),
+                    static_cast<int>(rng.uniform_int(1, 8))};
+    }
+    const int free = static_cast<int>(rng.uniform_int(0, 20));
+    const int needed = static_cast<int>(rng.uniform_int(1, 256));
+    const double now = 5.0 * static_cast<double>(rng.uniform_int(0, 6));
+    JobQueue queue(QueuePolicy::kEasyBackfill, 256);
+    queue.push(fixed_job(0, 0.0, needed, 100.0, 100.0));
+    // Twice on one queue: the reused working copy must not leak state.
+    for (int again = 0; again < 2; ++again) {
+      ASSERT_EQ(queue.shadow_time(now, free, running),
+                reference_shadow_time(now, free, needed, running))
+          << "trial " << trial << " again " << again;
+    }
+  }
 }
 
 TEST(Cluster, EasyBackfillNeverDelaysHead) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "arch/configs.h"
@@ -304,9 +305,26 @@ TEST_P(ContiguousOracle, MatchesReferenceOnRandomMasks) {
   const net::TorusTopology torus(GetParam());
   const int n = torus.num_nodes();
   const int stride = n > 512 ? n / 256 : 1;
+  // One placement on the state `alloc` is in, against the reference.
+  const auto expect_reference = [&](Allocator& alloc, int count,
+                                    const std::string& where) {
+    const auto mask = unavailable_mask(alloc, n);
+    ASSERT_EQ(alloc.largest_free_block(),
+              reference_largest_free_block(torus, mask))
+        << where;
+    const auto expected = reference_contiguous(torus, mask, count, stride);
+    const auto got = alloc.allocate(count, Policy::kContiguous);
+    ASSERT_EQ(got, expected) << where << " count " << count;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.mean_pairwise_hops(got)),
+              std::bit_cast<std::uint64_t>(reference_mean_hops(torus, got)))
+        << where;
+  };
   // Busy share 0, 0.2, ..., 1.0 by trial, then near-full machines, where
-  // walks run long and pruning fires most; plus a few drained nodes.
-  const double busy_shares[] = {0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 0.9, 0.95};
+  // walks run long and pruning fires most, then nearly empty ones, where
+  // most seeds' first positions are all free and tie; plus a few drained
+  // nodes.
+  const double busy_shares[] = {0.0, 0.2, 0.4, 0.6, 0.8,  1.0,
+                                0.9, 0.95, 0.02, 0.08};
   for (std::uint64_t trial = 1; trial <= std::size(busy_shares); ++trial) {
     Allocator alloc(torus);
     Rng rng(trial * 7919 + static_cast<std::uint64_t>(n));
@@ -330,16 +348,62 @@ TEST_P(ContiguousOracle, MatchesReferenceOnRandomMasks) {
       const int count =
           step == 0 ? 1
                     : static_cast<int>(rng.uniform_int(1, max_count));
-      const auto mask = unavailable_mask(alloc, n);
-      ASSERT_EQ(alloc.largest_free_block(),
-                reference_largest_free_block(torus, mask));
-      const auto expected = reference_contiguous(torus, mask, count, stride);
-      const auto got = alloc.allocate(count, Policy::kContiguous);
-      ASSERT_EQ(got, expected) << "trial " << trial << " step " << step
-                               << " count " << count;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.mean_pairwise_hops(got)),
-                std::bit_cast<std::uint64_t>(reference_mean_hops(torus, got)));
+      expect_reference(alloc, count,
+                       "trial " + std::to_string(trial) + " step " +
+                           std::to_string(step));
     }
+  }
+
+  // Block-structured occupancy, as a batch study leaves it: contiguous
+  // jobs placed and released in a random order until the machine is
+  // mostly full, so free nodes come in runs of released blocks.
+  {
+    Allocator alloc(torus);
+    Rng rng(static_cast<std::uint64_t>(n) * 31 + 1);
+    std::vector<std::uint64_t> live;
+    for (std::uint64_t job = 1; job <= 60; ++job) {
+      if (!live.empty() && rng.uniform() < 0.3) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        alloc.release(live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+        continue;
+      }
+      if (alloc.free_nodes() == 0) continue;
+      const int count = static_cast<int>(rng.uniform_int(
+          1, std::min(alloc.free_nodes(), std::max(4, n / 8))));
+      const auto mask = unavailable_mask(alloc, n);
+      const auto expected = reference_contiguous(torus, mask, count, stride);
+      const auto got = alloc.allocate(job, count, Policy::kContiguous);
+      ASSERT_EQ(got, expected) << "block trial job " << job;
+      live.push_back(job);
+    }
+  }
+
+  // The largest free count that still scans densely for `count`, and one
+  // more: the same placement either side of the switch.
+  const int count = std::min(8, n / 2);
+  int dense_free = 0;
+  while (Allocator::kDenseDivisor * (dense_free + 1) * (dense_free + 1) <
+         std::int64_t{count} * n) {
+    ++dense_free;
+  }
+  for (const int free : {dense_free, dense_free + 1}) {
+    if (free <= count || free > n) continue;
+    Allocator alloc(torus);
+    Rng rng(static_cast<std::uint64_t>(free) * 131 + 7);
+    std::vector<int> nodes(static_cast<std::size_t>(n));
+    for (int node = 0; node < n; ++node) {
+      nodes[static_cast<std::size_t>(node)] = node;
+    }
+    for (int i = 0; i < n - free; ++i) {  // prefix shuffle picks the busy
+      const auto j = static_cast<std::size_t>(rng.uniform_int(i, n - 1));
+      std::swap(nodes[static_cast<std::size_t>(i)], nodes[j]);
+    }
+    nodes.resize(static_cast<std::size_t>(n - free));
+    alloc.occupy(nodes);
+    ASSERT_EQ(alloc.free_nodes(), free);
+    expect_reference(alloc, count, "free " + std::to_string(free));
   }
 }
 
@@ -403,6 +467,72 @@ TEST(Allocator, FloorStopEndsTheScan) {
   EXPECT_EQ(alloc.allocate(2, Policy::kContiguous),
             (std::vector<int>{0, 144}));
   EXPECT_EQ(alloc.positions_walked(), 3u);
+}
+
+TEST(Allocator, WholeFreeSetIsTheBall) {
+  // A job that takes every free node gets exactly the free nodes, without
+  // a seed scan; one node fewer is a real placement.
+  for (const std::vector<int>& dims : {std::vector<int>{4, 2, 2, 2, 3, 2},
+                                       std::vector<int>{8, 4, 4, 2, 3, 2}}) {
+    const net::TorusTopology torus(dims);
+    const int n = torus.num_nodes();
+    const int stride = n > 512 ? n / 256 : 1;
+    Allocator alloc(torus);
+    Rng rng(static_cast<std::uint64_t>(n));
+    std::vector<int> busy;
+    for (int node = 0; node < n; ++node) {
+      const double u = rng.uniform();
+      if (u < 0.05) {
+        alloc.drain(node);
+      } else if (u < 0.9) {
+        busy.push_back(node);
+      }
+    }
+    alloc.occupy(busy);
+    std::vector<int> free;
+    for (int node = 0; node < n; ++node) {
+      if (!alloc.is_busy(node) && !alloc.is_drained(node)) free.push_back(node);
+    }
+    const auto count = static_cast<int>(free.size());
+    ASSERT_GT(count, 2);
+
+    const auto mask = unavailable_mask(alloc, n);
+    const auto fewer = alloc.allocate(count - 1, Policy::kContiguous);
+    EXPECT_EQ(fewer, reference_contiguous(torus, mask, count - 1, stride));
+    EXPECT_NE(fewer, std::vector<int>(free.begin(), free.end() - 1));
+    alloc.release(fewer);
+
+    const std::uint64_t walked = alloc.positions_walked();
+    EXPECT_EQ(alloc.allocate(count, Policy::kContiguous), free);
+    EXPECT_EQ(alloc.positions_walked(), walked);
+    EXPECT_EQ(free, reference_contiguous(torus, mask, count, stride));
+    EXPECT_EQ(alloc.free_nodes(), 0);
+  }
+}
+
+TEST(Allocator, LaterCleanSeedsLoseTheTie) {
+  // On the 4x3 torus (node = 3x + y) a seed's first four positions are
+  // itself, its -x and +x neighbours, then its -y neighbour: a path and a
+  // spur, 9 hops in all. A ring along y plus one node totals 8.
+  const net::TorusTopology torus({4, 3});
+  {
+    // Every seed is clean and ties at 9: the lowest keeps the placement.
+    Allocator alloc(torus);
+    EXPECT_EQ(alloc.allocate(4, Policy::kContiguous),
+              (std::vector<int>{0, 2, 3, 9}));
+  }
+  {
+    // Node 9, seed 0's -x neighbour, is busy, so seed 0 is not clean and
+    // its ball {0, 3, 2, 1} totals 8. The clean seeds after it total 9
+    // and must not replace it.
+    Allocator alloc(torus);
+    alloc.occupy({9});
+    const auto mask = unavailable_mask(alloc, torus.num_nodes());
+    const auto got = alloc.allocate(4, Policy::kContiguous);
+    EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(got, reference_contiguous(torus, mask, 4, 1));
+    EXPECT_EQ(alloc.mean_pairwise_hops(got), 8.0 / 6.0);
+  }
 }
 
 TEST(Allocator, MeanPairwiseHopsMatchesPairwiseSum) {

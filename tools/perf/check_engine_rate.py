@@ -65,6 +65,9 @@ REQUIRED_RUNS = (
     "BM_AllocateContiguous/1536",
     "BM_AllocateContiguous/12288",
     "BM_AllocateContiguousNearFull/192",
+    "BM_AllocateContiguousSparse/192",
+    "BM_LargestFreeBlock/192/8",
+    "BM_LargestFreeBlock/192/90",
     "BM_BackfillScan/256",
     "BM_MailboxPingPong/384",
     "BM_MailboxPingPongComputed/384",
