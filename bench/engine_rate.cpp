@@ -40,10 +40,13 @@
 // A benchmark run with repetitions (`--benchmark_repetitions`, or its own
 // pin) appears there once, as the median over its repetitions.
 // The flag is stripped from argv before benchmark::Initialize sees it.
+// --benchmark_color is read here as well, since main builds the console
+// reporter itself.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +55,8 @@
 #include <queue>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "apps/openifs.h"
 #include "arch/configs.h"
@@ -622,9 +627,12 @@ BENCHMARK(BM_MailboxPingPong)->Arg(9216)->Iterations(3)->Unit(
 // only call one collective back to back, as many times as make ~300k of
 // the algorithm's messages (recursive doubling with fold/unfold for
 // allreduce, p(p-1) pairwise messages for alltoall). Without congestion
-// none of them is sent: each call parks every rank and evaluates the
-// rounds once (docs/ENGINE.md section 9). events_per_s counts those
-// messages, so the figure compares with BM_MailboxPingPong's.
+// none of them is sent: each call parks every rank and times the rounds
+// once (docs/ENGINE.md section 9). The first call resolves them and the
+// others replay them, except at 9216 ranks, where the allreduce is over
+// the World's schedule budget and every call resolves each round into
+// a scratch row. events_per_s counts those messages, so the figure
+// compares with BM_MailboxPingPong's.
 // ---------------------------------------------------------------------------
 enum class CollectiveKind { kAllreduce, kAlltoall };
 
@@ -740,6 +748,8 @@ BENCHMARK(BM_RankCompute)->Arg(384)->Iterations(10)->Unit(
 /// Console output plus a captured copy of every run for the JSON summary.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
+  explicit CaptureReporter(OutputOptions options) : ConsoleReporter(options) {}
+
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) runs_.push_back(run);
     ConsoleReporter::ReportRuns(runs);
@@ -822,12 +832,31 @@ bool write_summary(const std::string& path,
   return static_cast<bool>(out);
 }
 
+/// Colour as google benchmark's own console reporter takes it from
+/// --benchmark_color: "auto", the default, colours a terminal only; false,
+/// no, off, 0, f or n never colour; any other value always does. Counters
+/// stay in a table either way.
+benchmark::ConsoleReporter::OutputOptions console_options(std::string value) {
+  std::transform(value.begin(), value.end(), value.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  const bool colored =
+      value == "auto" ? isatty(STDOUT_FILENO) != 0
+                      : value != "false" && value != "no" && value != "off" &&
+                            value != "0" && value != "f" && value != "n";
+  return colored ? benchmark::ConsoleReporter::OO_ColorTabular
+                 : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
+  std::string color = "auto";
   std::vector<char*> passthrough;
   for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--benchmark_color=", 18) == 0) {
+      color = argv[i] + 18;  // and passed through, for the library's check
+    }
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -842,7 +871,7 @@ int main(int argc, char** argv) {
                                              passthrough.data())) {
     return 1;
   }
-  CaptureReporter reporter;
+  CaptureReporter reporter(console_options(color));
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!out_path.empty()) {

@@ -38,6 +38,13 @@ enum CollOp {
 int coll_tag(const Group& group, CollOp op) {
   return kCollTagBase + group.context() * kOpsPerContext + op;
 }
+static_assert(kCollTagBase == Rank::kMaxUserTag + 1);
+
+/// `tag`, checked to be a user tag: the ones above belong to collectives.
+int user_tag(int tag) {
+  CTESIM_EXPECTS(tag >= 0 && tag <= Rank::kMaxUserTag);
+  return tag;
+}
 
 /// One rank's part of one round: at most one send and one receive, both
 /// in one point-to-point call. Peers are vranks, -1 for none; `bytes` is
@@ -51,7 +58,7 @@ struct Step {
 /// An unrooted collective algorithm as rounds of messages matched within
 /// the round: whoever a rank receives from in round k sends to it in
 /// round k. Rank::collective sends the rounds as point-to-point calls;
-/// World::Collectives::evaluate computes the same spans arithmetically.
+/// World::Collectives::time_call computes the same spans arithmetically.
 class Rounds {
  public:
   Rounds(CollOp op, int p, std::uint64_t bytes,
@@ -172,46 +179,29 @@ sim::Task<> run_rank(World::RankFn body, Rank* rank) {
   co_await body(*rank);
 }
 
-/// Vrank `me`'s part of `rounds` as point-to-point calls on `tag`.
-sim::Task<> send_rounds(Rank& rank, const Group& group, int tag,
-                        Rounds rounds, int me, std::uint64_t bytes) {
-  for (int k = 0; k < rounds.count(); ++k) {
-    const Step step = rounds.step(me, k, bytes);
-    if (step.dst >= 0 && step.src >= 0) {
-      co_await rank.sendrecv(group.global(step.dst), step.bytes,
-                             group.global(step.src), tag);
-    } else if (step.dst >= 0) {
-      co_await rank.send(group.global(step.dst), step.bytes, tag);
-    } else if (step.src >= 0) {
-      co_await rank.recv(group.global(step.src), tag);
-    }
-  }
-}
-
 }  // namespace
 
 /// Every rank of a scheduled collective parks in `enter` with no event and
-/// no message. The last one in evaluates the rounds as a max-plus
-/// recurrence over (time, span) from each rank's clock, moves each rank's
-/// clock to its exit time and queues one wake per rank on the run queue
-/// (only a World without congestion schedules collectives). That is
-/// exact because, without congestion, a message's timing depends only on
-/// (src, dst, bytes, send time) and every rank's exit depends on every
-/// rank's entry (docs/ENGINE.md section 9).
+/// no message. The last one in times the rounds as a max-plus recurrence
+/// over (time, span) from each rank's clock, moves each rank's clock to
+/// its exit time and queues one wake per rank on the run queue (only a
+/// World without congestion schedules collectives). That is exact because,
+/// without congestion, a message's timing depends only on (src, dst,
+/// bytes, send time) and every rank's exit depends on every rank's entry
+/// (docs/ENGINE.md section 9).
 ///
-/// A memoizing World also keeps each (group context, op)'s rounds
-/// resolved for the per-rank bytes of its last evaluated call: per round
-/// and vrank, the vrank it receives from and its send's delivery offsets.
-/// A later call with the same per-rank bytes replays them as one streaming
-/// pass and one gather per round (docs/ENGINE.md section 9, "Resolved
+/// A call resolves each round before it times it: per vrank, the vrank it
+/// receives from and its send's delivery offsets. A memoizing World keeps
+/// each (group context, op)'s resolved rounds for the per-rank bytes of
+/// its last call, and a later call with the same per-rank bytes replays
+/// them without resolving anything (docs/ENGINE.md section 9, "Resolved
 /// schedules").
 struct World::Collectives {
-  /// One (group context, op)'s rounds, resolved for `bytes`. Entry
-  /// k * p + v is vrank v's part of round k: `src` is the vrank it
-  /// receives from (p for none), and `arrival` and `sender_done` are its
-  /// send's offsets from its send time (0 for none).
+  /// Resolved rounds. Entry k * p + v is vrank v's part of round k: `src`
+  /// is the vrank it receives from (p for none), and `arrival` and
+  /// `sender_done` are its send's offsets from its send time (0 for none).
   struct Schedule {
-    std::vector<std::uint64_t> bytes;  ///< by vrank; empty: unresolved
+    std::vector<std::uint64_t> bytes;  ///< by vrank; empty: not kept
     std::vector<std::int32_t> src;
     std::vector<sim::Time> arrival;
     std::vector<sim::Time> sender_done;
@@ -224,7 +214,7 @@ struct World::Collectives {
     std::vector<std::coroutine_handle<>> parked;
     std::optional<Rounds> rounds;  ///< the first entrant's algorithm
     int entered = 0;
-    Schedule schedule;
+    Schedule schedule;  ///< kept for `bytes` in a memoizing World
   };
 
   /// The awaiter a rank parks on.
@@ -248,24 +238,27 @@ struct World::Collectives {
 
   void enter(World& world, const Entry& entry, std::coroutine_handle<> h);
   /// Times `call` from its entries into `time`, recording its spans.
-  void evaluate(World& world, const Group& group, Pending& call);
-  /// Times `call` from its resolved schedule.
-  void replay(World& world, const Group& group, const Pending& call);
+  void time_call(World& world, const Group& group, Pending& call);
   /// Makes `schedule` hold `entries` entries within kScheduleEntries,
   /// dropping the other slots' schedules if they leave too little room;
   /// false, changing nothing, if `entries` alone exceed it.
   bool make_room(Schedule& schedule, std::size_t entries);
+  /// Vrank `me`'s part of `rounds` as point-to-point calls on the
+  /// collective tag `tag`, which Rank's user calls would refuse.
+  static sim::Task<> send_rounds(Rank& rank, const Group& group, int tag,
+                                 Rounds rounds, int me, std::uint64_t bytes);
 
   std::vector<Pending> pending;  ///< by context * kOpsPerContext + op
   std::size_t schedule_entries = 0;  ///< held by every slot's schedule
-  // Evaluator scratch, by vrank.
+  /// The one round a call that keeps no schedule resolves into, p entries
+  /// reused every round; its `bytes` stay empty.
+  Schedule row;
+  // Scratch, by vrank.
   std::vector<sim::Time> time;  ///< each rank's time entering the round
   std::vector<sim::Time> next;
-  /// Of the message it sent this round; replay appends a 0 at index p
-  /// for the vranks that receive nothing.
+  /// Of the message it sent this round, with a 0 at index p for the
+  /// vranks that receive nothing.
   std::vector<sim::Time> arrival;
-  std::vector<std::uint64_t> sent;
-  std::vector<int> src;
 };
 
 void World::Collectives::enter(World& world, const Entry& entry,
@@ -291,15 +284,7 @@ void World::Collectives::enter(World& world, const Entry& entry,
   if (++call.entered < p) return;
   call.entered = 0;
   time.assign(call.entry.begin(), call.entry.end());
-  // A slot belongs to one group, and the same per-rank bytes give every
-  // rank the same steps, so the schedule still holds; run() checks that
-  // the network model, which its offsets came from, has not changed.
-  if (world.memoizing() && call.schedule.bytes == call.bytes) {
-    ++world.counts_.schedule_replays;
-    replay(world, *entry.group, call);
-  } else {
-    evaluate(world, *entry.group, call);
-  }
+  time_call(world, *entry.group, call);
   // Every exit is at or after the latest entry, which is at or after the
   // engine's now: each rank's exit depends on every rank's entry. The
   // clocks carry the exits, so the ranks resume in vrank order.
@@ -332,82 +317,60 @@ bool World::Collectives::make_room(Schedule& schedule, std::size_t entries) {
   return true;
 }
 
-void World::Collectives::evaluate(World& world, const Group& group,
-                                  Pending& call) {
+void World::Collectives::time_call(World& world, const Group& group,
+                                   Pending& call) {
   // Round k, rank v at time[v] (what P2P computes for the same call): its
   // send is deposited at time[v]; its recv span from `src` is
   // [time[v], max(time[v], arrival of src's round-k message)]; it leaves
   // the round at the latest of that span's end and its send's
-  // sender-side completion. Spans are recorded round by round, each
-  // rank's send before its recv, which is each rank's own P2P order.
+  // sender-side completion. The round's deliveries are resolved first, as
+  // offsets from time[v]: sim::Time is integral, so time[v] plus an offset
+  // is the formula's time bit for bit, with or without a window. A vrank
+  // that sends nothing has offsets 0, one that receives nothing reads
+  // arrival[p] = 0, and next[v] >= time[v] >= 0, so neither moves its
+  // time. Spans are recorded round by round, every send before every
+  // recv, which keeps each rank's own P2P order; only a traced call
+  // derives peers and bytes again.
   const int p = group.size();
   const auto n = static_cast<std::size_t>(p);
   const Rounds& rounds = *call.rounds;
   Schedule& schedule = call.schedule;
-  const bool resolve =
-      world.memoizing() &&
+  // A slot belongs to one group, and the same per-rank bytes give every
+  // rank the same steps, so a kept schedule still holds; run() checks that
+  // the network model, which its offsets came from, has not changed.
+  const bool replay = world.memoizing() && schedule.bytes == call.bytes;
+  const bool keep =
+      !replay && world.memoizing() &&
       make_room(schedule, static_cast<std::size_t>(rounds.count()) * n);
-  next.resize(n);
-  arrival.resize(n);
-  sent.resize(n);
-  src.resize(n);
-  for (int k = 0; k < rounds.count(); ++k) {
-    const std::size_t base = static_cast<std::size_t>(k) * n;
-    for (std::size_t v = 0; v < n; ++v) {
-      const Step step = rounds.step(static_cast<int>(v), k, call.bytes[v]);
-      src[v] = step.src;
-      next[v] = time[v];
-      if (resolve) {
-        schedule.src[base + v] = step.src < 0 ? p : step.src;
-        schedule.arrival[base + v] = schedule.sender_done[base + v] = 0;
-      }
-      if (step.dst < 0) continue;
-      const int me = group.global(static_cast<int>(v));
-      const int to = group.global(step.dst);
-      const Delivery d = world.delivery(me, to, step.bytes, time[v]);
-      world.record(me, time[v], d.sender_done, "send", "", step.bytes, to);
-      arrival[v] = d.arrival;
-      sent[v] = step.bytes;
-      next[v] = std::max(next[v], d.sender_done);
-      if (resolve) {
-        // A memoizing World's delivery is time[v] plus these offsets.
-        schedule.arrival[base + v] = d.arrival - time[v];
-        schedule.sender_done[base + v] = d.sender_done - time[v];
-      }
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (src[v] < 0) continue;
-      const auto from = static_cast<std::size_t>(src[v]);
-      const sim::Time end = std::max(time[v], arrival[from]);
-      world.record(group.global(static_cast<int>(v)), time[v], end, "recv",
-                   "", sent[from], group.global(src[v]));
-      next[v] = std::max(next[v], end);
-    }
-    time.swap(next);
+  const bool kept = replay || keep;
+  Schedule& rows = kept ? schedule : row;
+  if (!kept) {
+    row.src.resize(n);
+    row.arrival.resize(n);
+    row.sender_done.resize(n);
   }
-  if (resolve) {
-    schedule.bytes = call.bytes;
-    ++world.counts_.schedule_resolves;
-  }
-}
-
-void World::Collectives::replay(World& world, const Group& group,
-                                const Pending& call) {
-  // The recurrence of evaluate, with each send's delivery read from the
-  // schedule. A vrank that sends nothing has offsets 0, one that receives
-  // nothing reads arrival[p] = 0, and next[v] >= time[v] >= 0, so neither
-  // moves its time. Only a traced call derives peers and bytes again, to
-  // record the spans evaluate records, in its order.
-  const Schedule& schedule = call.schedule;
-  const std::size_t n = time.size();
   const bool traced = world.recorder_ != nullptr && world.recorder_->enabled();
   next.resize(n);
   arrival.resize(n + 1);
   arrival[n] = 0;
-  for (std::size_t base = 0; base < schedule.src.size(); base += n) {
-    const std::int32_t* from = schedule.src.data() + base;
-    const sim::Time* offset = schedule.arrival.data() + base;
-    const sim::Time* done = schedule.sender_done.data() + base;
+  for (int k = 0; k < rounds.count(); ++k) {
+    const std::size_t base = kept ? static_cast<std::size_t>(k) * n : 0;
+    std::int32_t* from = rows.src.data() + base;
+    sim::Time* offset = rows.arrival.data() + base;
+    sim::Time* done = rows.sender_done.data() + base;
+    if (!replay) {
+      for (std::size_t v = 0; v < n; ++v) {
+        const Step step = rounds.step(static_cast<int>(v), k, call.bytes[v]);
+        from[v] = step.src < 0 ? p : step.src;
+        offset[v] = done[v] = 0;
+        if (step.dst < 0) continue;
+        const Delivery d =
+            world.delivery(group.global(static_cast<int>(v)),
+                           group.global(step.dst), step.bytes, time[v]);
+        offset[v] = d.arrival - time[v];
+        done[v] = d.sender_done - time[v];
+      }
+    }
     for (std::size_t v = 0; v < n; ++v) {
       arrival[v] = time[v] + offset[v];
       next[v] = std::max(time[v], time[v] + done[v]);
@@ -416,10 +379,8 @@ void World::Collectives::replay(World& world, const Group& group,
       next[v] = std::max(next[v], arrival[static_cast<std::size_t>(from[v])]);
     }
     if (traced) {
-      const int k = static_cast<int>(base / n);
       for (std::size_t v = 0; v < n; ++v) {
-        const Step step =
-            call.rounds->step(static_cast<int>(v), k, call.bytes[v]);
+        const Step step = rounds.step(static_cast<int>(v), k, call.bytes[v]);
         if (step.dst < 0) continue;
         world.record(group.global(static_cast<int>(v)), time[v],
                      time[v] + done[v], "send", "", step.bytes,
@@ -428,13 +389,31 @@ void World::Collectives::replay(World& world, const Group& group,
       for (std::size_t v = 0; v < n; ++v) {
         const auto u = static_cast<std::size_t>(from[v]);
         if (u == n) continue;
-        const Step sender = call.rounds->step(from[v], k, call.bytes[u]);
+        const Step sender = rounds.step(from[v], k, call.bytes[u]);
         world.record(group.global(static_cast<int>(v)), time[v],
                      std::max(time[v], arrival[u]), "recv", "", sender.bytes,
                      group.global(from[v]));
       }
     }
     time.swap(next);
+  }
+  if (replay) ++world.counts_.schedule_replays;
+  if (keep) {
+    schedule.bytes = call.bytes;
+    ++world.counts_.schedule_resolves;
+  }
+}
+
+sim::Task<> World::Collectives::send_rounds(Rank& rank, const Group& group,
+                                            int tag, Rounds rounds, int me,
+                                            std::uint64_t bytes) {
+  for (int k = 0; k < rounds.count(); ++k) {
+    const Step step = rounds.step(me, k, bytes);
+    if (step.dst < 0 && step.src < 0) continue;
+    P2P call(rank, step.bytes, tag);
+    if (step.dst >= 0) call.to(group.global(step.dst));
+    if (step.src >= 0) call.from(group.global(step.src));
+    co_await call;
   }
 }
 
@@ -775,20 +754,23 @@ const World::Route& Rank::route(std::span<const int> neighbors,
 }
 
 P2P Rank::send(int dst, std::uint64_t bytes, int tag) {
-  return P2P(*this, bytes, tag).to(dst);
+  return P2P(*this, bytes, user_tag(tag)).to(dst);
 }
 
-P2P Rank::recv(int src, int tag) { return P2P(*this, 0, tag).from(src); }
+P2P Rank::recv(int src, int tag) {
+  return P2P(*this, 0, user_tag(tag)).from(src);
+}
 
 P2P Rank::sendrecv(int dst, std::uint64_t send_bytes, int src, int tag) {
   // Full duplex: post the outgoing message, then block on the incoming one;
   // settle any residual sender-side occupancy afterwards.
-  return P2P(*this, send_bytes, tag).to(dst).from(src);
+  return P2P(*this, send_bytes, user_tag(tag)).to(dst).from(src);
 }
 
 P2P Rank::exchange(std::span<const int> neighbors, std::uint64_t bytes_each,
                    int tag) {
-  return P2P(*this, bytes_each, tag).along(route(neighbors, bytes_each, tag));
+  return P2P(*this, bytes_each, user_tag(tag))
+      .along(route(neighbors, bytes_each, tag));
 }
 
 // ------------------------------------------------------------------ P2P --
@@ -888,8 +870,8 @@ sim::Task<> Rank::collective(const Group& group, int op,
     // The message loop is a coroutine of its own, which keeps its P2P
     // awaiter out of this frame: every rank of a NEMO World holds one
     // while it is parked in a schedule.
-    co_await send_rounds(*this, group, coll_tag(group, coll_op), rounds, me,
-                         bytes);
+    co_await World::Collectives::send_rounds(
+        *this, group, coll_tag(group, coll_op), rounds, me, bytes);
   } else {
     co_await World::Collectives::Entry{this, &group, &rounds, coll_op, me,
                                        bytes};
@@ -913,7 +895,7 @@ sim::Task<> Rank::bcast(const Group& group, int root_vrank,
   while (mask < p) {
     if (relative & mask) {
       const int src = (relative - mask + root_vrank) % p;
-      co_await recv(group.global(src), tag);
+      co_await P2P(*this, 0, tag).from(group.global(src));
       break;
     }
     mask <<= 1;
@@ -922,7 +904,7 @@ sim::Task<> Rank::bcast(const Group& group, int root_vrank,
   while (mask > 0) {
     if (relative + mask < p) {
       const int dst = (relative + mask + root_vrank) % p;
-      co_await send(group.global(dst), bytes, tag);
+      co_await P2P(*this, bytes, tag).to(group.global(dst));
     }
     mask >>= 1;
   }

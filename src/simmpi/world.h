@@ -4,9 +4,10 @@
 // recursive doubling, ring, pairwise exchange). The rooted bcast always
 // runs on point-to-point messages; allreduce, allgather, alltoall,
 // barrier and reduce_scatter do too when congestion is modelled, and are
-// otherwise evaluated as one max-plus schedule once the last rank enters,
-// replayed from its resolved rounds when the call repeats
-// (docs/ENGINE.md section 9).
+// otherwise timed as one max-plus schedule once the last rank enters,
+// round by round: each round is resolved into delivery offsets, or read
+// from the rounds a memoizing World kept when the call repeats, then
+// timed (docs/ENGINE.md section 9).
 //
 // Every rank keeps its own simulated clock (Rank::now), at or after the
 // engine's. Compute and a receive whose messages are already queued
@@ -348,9 +349,9 @@ class World {
   std::vector<Rng> jitter_;
   std::unique_ptr<Group> world_group_;
   std::unique_ptr<net::CongestionModel> congestion_;
-  /// Scheduled collectives: per (group, op) entry state and resolved
-  /// schedule, and the evaluator's scratch, reused across calls (defined
-  /// in world.cpp).
+  /// Scheduled collectives: per (group, op) entry state and kept
+  /// schedule, and the timing pass's scratch, reused across calls
+  /// (defined in world.cpp).
   struct Collectives;
   std::unique_ptr<Collectives> collectives_;
   int next_group_context_ = 1;
@@ -467,7 +468,7 @@ class Rank {
   /// reserved for the collective algorithms' internal messages.
   static constexpr int kMaxUserTag = (1 << 20) - 1;
 
-  // --- point-to-point (tags must be in [0, kMaxUserTag]) ------------------
+  // --- point-to-point (a tag outside [0, kMaxUserTag] throws) -------------
   P2P send(int dst, std::uint64_t bytes, int tag = 0);
   /// Awaits to the received byte count.
   P2P recv(int src, int tag = 0);
@@ -489,7 +490,7 @@ class Rank {
   // All but bcast (barrier, allreduce, allgather, alltoall,
   // reduce_scatter) give every rank the spans and exit time their
   // point-to-point algorithm would, but without congestion they send no
-  // message: each rank parks, and the last one in evaluates the schedule.
+  // message: each rank parks, and the last one in times the schedule.
   sim::Task<> barrier();                       ///< dissemination
   sim::Task<> barrier(const Group& group);
   sim::Task<> bcast(int root, std::uint64_t bytes);      ///< binomial tree

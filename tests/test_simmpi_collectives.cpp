@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,6 +41,9 @@ struct Script {
   bool compute = false;
   /// A user-tag ring exchange after each call.
   bool p2p = false;
+  /// When set, a receive window on node 1 (factor 0.25) opens at this
+  /// simulated time, in seconds.
+  std::optional<double> window_from_s;
 };
 
 // --- the oracle: the algorithms as point-to-point calls ------------------
@@ -194,6 +198,9 @@ Outcome run_script(const Script& script, bool oracle) {
   options.trace = true;
   const std::uint64_t threshold = options.allreduce_ring_threshold;
   World world(std::move(options), script.placement);
+  if (script.window_from_s) {
+    world.network().add_recv_degradation(1, 0.25, *script.window_from_s);
+  }
   const int n = world.num_ranks();
   const Group sub = world.create_group(
       script.subgroup.empty() ? std::vector<int>{0} : script.subgroup);
@@ -361,6 +368,25 @@ TEST(CollectiveOracle, UserTagMessagesBetweenCalls) {
   script.compute = true;
   script.p2p = true;
   expect_matches_oracle(script);
+}
+
+TEST(CollectiveOracle, ReceiveWindowOpeningMidRun) {
+  // A World with a window keeps no schedule: every round is resolved at
+  // its ranks' times, so the calls after the window opens, halfway
+  // through the run without it, slow down as their messages do.
+  Script script;
+  script.options = cte_options();
+  script.options.compute_jitter = 0.2;
+  script.placement = Placement::per_node(arch::cte_arm().node, 8);
+  for (int i = 0; i < 3; ++i) {
+    for (const Call& call : every_collective()) script.calls.push_back(call);
+  }
+  script.compute = true;
+  script.p2p = true;
+  const double without = run_script(script, /*oracle=*/false).makespan;
+  script.window_from_s = without / 2;
+  const Outcome got = expect_matches_oracle(script);
+  EXPECT_GT(got.makespan, without);
 }
 
 TEST(CollectiveOracle, CongestionKeepsTheMessagePath) {

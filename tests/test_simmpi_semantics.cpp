@@ -411,6 +411,50 @@ TEST(P2P, BadThirdNeighbourThrowsBeforeAnyDeposit) {
   EXPECT_TRUE(world.recorder()->spans().empty());
 }
 
+TEST(P2P, EveryCallRefusesATagOutsideTheUserRange) {
+  for (const int tag : {-1, Rank::kMaxUserTag + 1, Rank::kMaxUserTag + 2}) {
+    for (int call = 0; call < 4; ++call) {
+      SCOPED_TRACE("tag " + std::to_string(tag) + ", call " +
+                   std::to_string(call));
+      EXPECT_THROW(run2([tag, call](Rank& r) -> sim::Task<> {
+                     if (r.id() != 0) co_return;
+                     const std::vector<int> peer{1};
+                     switch (call) {
+                       case 0:
+                         co_await r.send(1, 100, tag);
+                         break;
+                       case 1:
+                         co_await r.recv(1, tag);
+                         break;
+                       case 2:
+                         co_await r.sendrecv(1, 100, 1, tag);
+                         break;
+                       default:
+                         co_await r.exchange(peer, 100, tag);
+                         break;
+                     }
+                   }),
+                   ContractError);
+    }
+  }
+}
+
+TEST(P2P, AUserMessageCannotTakeABcastsTag) {
+  // kMaxUserTag + 2 is the world group's bcast tag: unchecked, rank 1's
+  // recv would take the bcast's 5000 bytes and the bcast this message.
+  const auto body = [](int tag, std::uint64_t& got) {
+    return [tag, &got](Rank& r) -> sim::Task<> {
+      if (r.id() == 0) co_await r.send(1, 100, tag);
+      co_await r.bcast(0, 5000);
+      if (r.id() == 1) got = co_await r.recv(0, tag);
+    };
+  };
+  std::uint64_t got = 0;
+  EXPECT_THROW(run2(body(Rank::kMaxUserTag + 2, got)), ContractError);
+  run2(body(Rank::kMaxUserTag, got));
+  EXPECT_EQ(got, 100u);
+}
+
 /// 384 ranks, 10 steps of ring exchange + allreduce(8).
 World::RankFn ring_steps() {
   return [](Rank& rank) -> sim::Task<> {

@@ -6,6 +6,8 @@
 # error exit from an abort (a signal), so it cannot check this. With
 # -DDIR=<dir> the run starts in a freshly emptied DIR, and with
 # -DABSENT=<file> it also fails if the run left <file> in that directory.
+# With -DPLAIN=1 it also fails if stdout carries an ESC byte (a terminal
+# escape code, such as a colour).
 foreach(_var EXE EXPECT)
   if(NOT DEFINED ${_var})
     message(FATAL_ERROR "expect_exit.cmake: -D${_var}=... is required")
@@ -19,11 +21,25 @@ if(DEFINED DIR)
   set(_workdir WORKING_DIRECTORY ${DIR})
 endif()
 
-execute_process(COMMAND ${EXE} ${ARGS} ${_workdir} RESULT_VARIABLE _rc)
+set(_capture "")
+if(DEFINED PLAIN)
+  set(_capture OUTPUT_VARIABLE _stdout)
+endif()
+
+execute_process(COMMAND ${EXE} ${ARGS} ${_workdir} ${_capture}
+                RESULT_VARIABLE _rc)
 if(NOT _rc STREQUAL EXPECT)
   message(FATAL_ERROR "${EXE} ${ARGS}: exited with '${_rc}', "
                       "expected '${EXPECT}'")
 endif()
 if(DEFINED ABSENT AND EXISTS ${DIR}/${ABSENT})
   message(FATAL_ERROR "${EXE} ${ARGS}: wrote ${ABSENT} in ${DIR}")
+endif()
+if(DEFINED PLAIN)
+  message("${_stdout}")
+  string(ASCII 27 _esc)
+  string(FIND "${_stdout}" "${_esc}" _at)
+  if(NOT _at EQUAL -1)
+    message(FATAL_ERROR "${EXE} ${ARGS}: wrote an escape code to stdout")
+  endif()
 endif()
